@@ -12,8 +12,7 @@ Usage::
         [--suite e6|gen|gen-wide|service]
         [--strategy sequential|sharded|bounded]
         [--intra-jobs N] [--shard-depth D]
-        [--reduction none|sleep|dpor] [--symmetry] [--context-bound N]
-        [--sail-backend compiled|interp]
+        [--reduction none|sleep|dpor] [--context-bound N]
 
 ``--suite gen`` runs the diy-generated two-thread suite instead of the
 curated E6 family, appending a generated-suite throughput entry to the
@@ -24,8 +23,11 @@ under ``"strategy"``): ``sharded --intra-jobs N`` forks each test's own
 frontier across N workers, so multi-core boxes can finally speed up a
 *single* large exploration; on the 1-CPU reference container it measures
 the sharding overhead instead.  Sharded counters include cross-shard
-duplicate work, so compare its ``seconds``/wall numbers, not its
-transition counts, against sequential entries.
+duplicate work (its ``unique_states`` sums each shard's seen set), so
+compare its ``seconds``/wall numbers, not its counts, against
+sequential entries.  Totals record ``unique_per_second`` (unique states
+over wall seconds) beside the raw rates, and the E6 line's speedup is
+a ratio of wall seconds on the same test set.
 
 ``SEED_BASELINE`` holds the seed implementation's numbers measured by the
 same protocol (one warm process, stats from inside ``explore``) on the
@@ -109,7 +111,7 @@ def _suite_tests(suite):
     ]
 
 
-def run_service_suite(sail_backend=None):
+def run_service_suite():
     """Cold-vs-warm latency of the service engine on the E6 family.
 
     Cold: a fresh exploration through ``EnvelopeEngine.run_request``
@@ -124,7 +126,7 @@ def run_service_suite(sail_backend=None):
     from repro.service import EngineRequest, EnvelopeEngine, VerdictCache
 
     cache = VerdictCache()
-    engine = EnvelopeEngine(cache=cache, sail_backend=sail_backend)
+    engine = EnvelopeEngine(cache=cache)
     per_test = {}
     total_cold = total_warm = 0.0
     for name in REPRESENTATIVE:
@@ -221,6 +223,9 @@ def run_suite(model=None, suite="e6", strategy=None, reduction="none"):
         "states_per_second": int(total_states / total_seconds)
         if total_seconds
         else 0,
+        "unique_per_second": int(total_unique / total_seconds)
+        if total_seconds
+        else 0,
     }
     return per_test, total
 
@@ -274,19 +279,6 @@ def main(argv=None) -> int:
         default=None,
         help="context-switch bound (sound under-approximation)",
     )
-    parser.add_argument(
-        "--symmetry",
-        action="store_true",
-        help="with --reduction dpor: canonicalise states modulo "
-        "detected thread symmetry",
-    )
-    parser.add_argument(
-        "--sail-backend",
-        choices=("compiled", "interp"),
-        default=None,
-        help="Sail execution backend for the ISA model (default: the "
-        "model's resolved default, PPCMEM2_SAIL_BACKEND env or 'compiled')",
-    )
     args = parser.parse_args(argv)
 
     from repro.concurrency.search import make_strategy
@@ -305,7 +297,6 @@ def main(argv=None) -> int:
         shard_depth=args.shard_depth,
         reduction=args.reduction,
         context_bound=args.context_bound,
-        symmetry=args.symmetry,
     )
     # Record what will actually run, not the raw CLI args: resolve the
     # worker count, and flag sharded entries that degrade to sequential
@@ -316,8 +307,6 @@ def main(argv=None) -> int:
         strategy_record["reduction"] = args.reduction
     if args.context_bound is not None:
         strategy_record["context_bound"] = args.context_bound
-    if args.symmetry:
-        strategy_record["symmetry"] = True
     if args.strategy == "sharded":
         from repro.concurrency.search import ShardedParallel
 
@@ -329,15 +318,10 @@ def main(argv=None) -> int:
         if resolved_jobs <= 1 or not ShardedParallel.can_fork():
             strategy_record["effective"] = "sequential"
 
-    from repro.isa.model import IsaModel, resolve_sail_backend
-
-    sail_backend = resolve_sail_backend(args.sail_backend)
     if args.suite == "service":
-        per_test, total = run_service_suite(sail_backend=sail_backend)
+        per_test, total = run_service_suite()
     else:
-        model = IsaModel(sail_backend=sail_backend)
         per_test, total = run_suite(
-            model=model,
             suite=args.suite,
             strategy=strategy,
             reduction=args.reduction,
@@ -372,7 +356,6 @@ def main(argv=None) -> int:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "suite": args.suite,
         "strategy": strategy_record,
-        "sail_backend": sail_backend,
         # Usable cores when the entry was recorded: wall-seconds of
         # sharded entries are only comparable at equal core counts.
         "cpus": cpus,
@@ -391,16 +374,18 @@ def main(argv=None) -> int:
               f"= {total['speedup']:,}x speedup "
               f"(hit rate {total['cache_hit_rate']:.0%})")
     elif args.suite == "e6":
+        # Wall seconds on the same test set: a transition rate would
+        # count duplicated (e.g. cross-shard) work as speed.
         baseline = trajectory[0]["total"]
         speedup = (
-            total["transitions_per_second"] / baseline["transitions_per_second"]
-            if baseline.get("transitions_per_second")
+            baseline["seconds"] / total["seconds"]
+            if total["seconds"]
             else float("nan")
         )
-        print(f"E6 suite: {total['transitions']} transitions "
-              f"in {total['seconds']:.2f}s "
-              f"= {total['transitions_per_second']:,}/s "
-              f"({speedup:.2f}x over {trajectory[0]['label']})")
+        print(f"E6 suite: {total['unique_states']} unique states "
+              f"({total['states']} visited) in {total['seconds']:.2f}s "
+              f"= {total['unique_per_second']:,} unique/s "
+              f"({speedup:.2f}x over {trajectory[0]['label']} wall time)")
     else:
         print(f"Generated suite ({len(per_test)} tests): "
               f"{total['transitions']} transitions in {total['seconds']:.2f}s "

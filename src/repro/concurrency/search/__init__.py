@@ -19,10 +19,8 @@ Every backend accepts ``reduction``/``context_bound`` (see
 envelope while pruning commuting interleavings; a context bound trades
 completeness (reported via ``ExplorationResult.complete``) for a
 drastically smaller search.  ``reduction="dpor"`` (see ``dpor``) layers
-source sets and a canonical state-key quotient on top of sleep sets,
-and ``symmetry=True`` additionally folds permutation-equivalent threads
-into orbit representatives (sharded backends run the sleep-set
-projection; see ``sharded``).
+source sets and a canonical state-key quotient on top of sleep sets
+(sharded backends run the sleep-set projection; see ``sharded``).
 
 ``resolve_strategy`` turns ``None`` / a name / an instance into a
 strategy; ``make_strategy`` builds one by name with tuning options (the
@@ -71,7 +69,6 @@ def make_strategy(
     initial_budget: Optional[int] = None,
     reduction: str = "none",
     context_bound: Optional[int] = None,
-    symmetry: bool = False,
 ) -> SearchStrategy:
     """Build a strategy by registry name, applying only relevant options."""
     try:
@@ -81,11 +78,7 @@ def make_strategy(
             f"unknown search strategy {name!r} "
             f"(choose from {sorted(STRATEGIES)})"
         ) from None
-    options = {
-        "reduction": reduction,
-        "context_bound": context_bound,
-        "symmetry": symmetry,
-    }
+    options = {"reduction": reduction, "context_bound": context_bound}
     if cls is ShardedParallel:
         if jobs is not None:
             options["jobs"] = jobs
@@ -101,22 +94,18 @@ def apply_reduction(
     strategy: SearchStrategy,
     reduction: str = "none",
     context_bound: Optional[int] = None,
-    symmetry: bool = False,
 ) -> SearchStrategy:
     """A copy of ``strategy`` with the pruning options applied.
 
-    Every registered backend carries the three fields, so this is a
+    Every registered backend carries both fields, so this is a
     plain ``dataclasses.replace``; no-op when all options are defaults
     (so callers can thread them unconditionally without disturbing
     explicitly pre-configured strategy instances).
     """
-    if reduction == "none" and context_bound is None and not symmetry:
+    if reduction == "none" and context_bound is None:
         return strategy
     return dataclasses.replace(
-        strategy,
-        reduction=reduction,
-        context_bound=context_bound,
-        symmetry=symmetry,
+        strategy, reduction=reduction, context_bound=context_bound
     )
 
 
@@ -137,7 +126,6 @@ def build_strategy(
     shard_depth: Optional[int] = None,
     reduction: str = "none",
     context_bound: Optional[int] = None,
-    symmetry: bool = False,
 ) -> SearchStrategy:
     """One-stop strategy construction shared by every query entry point.
 
@@ -158,7 +146,6 @@ def build_strategy(
             shard_depth=shard_depth,
             reduction=reduction,
             context_bound=context_bound,
-            symmetry=symmetry,
         )
     strategy = resolve_strategy(spec)
     if isinstance(strategy, ShardedParallel):
@@ -169,7 +156,7 @@ def build_strategy(
             updates["shard_depth"] = shard_depth
         if updates:
             strategy = dataclasses.replace(strategy, **updates)
-    return apply_reduction(strategy, reduction, context_bound, symmetry)
+    return apply_reduction(strategy, reduction, context_bound)
 
 
 __all__ = [

@@ -47,8 +47,8 @@ from .core import (
     extend_trace,
     run_search,
 )
-from .dpor import prepare_dpor
 from .reduction import make_reducer
+from ..symmetry import CanonicalKeys
 from ..system import SystemState
 
 
@@ -60,9 +60,6 @@ class BoundedIterative(SearchStrategy):
     growth: int = 4
     reduction: str = "none"
     context_bound: Optional[int] = None
-    #: With ``reduction="dpor"``: also canonicalise state keys modulo
-    #: detected thread symmetry.  See ``SequentialDFS.symmetry``.
-    symmetry: bool = False
 
     name = "bounded"
 
@@ -87,16 +84,11 @@ class BoundedIterative(SearchStrategy):
         static_cache = {}
         dpor = make_reducer(self.reduction, self.context_bound)
         dpor = dpor is not None and dpor.dpor
-        if dpor:
-            # One canonicaliser for every deepening iteration: symmetry
-            # detection runs once and the key memo tables carry over
-            # (each iteration re-walks a superset of its predecessor's
-            # states).  The per-search seen map stays per-iteration.
-            canon, cells, finish = prepare_dpor(
-                initial, self.symmetry, cells, collect_deadlocks
-            )
-        else:
-            canon, finish = None, None
+        # One canonicaliser for every deepening iteration: the key memo
+        # tables carry over (each iteration re-walks a superset of its
+        # predecessor's states).  The per-search seen map stays
+        # per-iteration.
+        canon = CanonicalKeys(initial) if dpor else None
         started = time.perf_counter()
         for budget in self._budgets(limit):
             stats = ExplorationStats()
@@ -125,9 +117,7 @@ class BoundedIterative(SearchStrategy):
             work.unique_states = len(seen)
             work.seconds = time.perf_counter() - started
             return ExplorationResult(
-                visitor.outcomes if finish is None else finish(
-                    visitor.outcomes
-                ),
+                visitor.outcomes,
                 work,
                 visitor.deadlock_states,
                 complete=reducer is None or not reducer.truncated,
@@ -137,7 +127,7 @@ class BoundedIterative(SearchStrategy):
         # outcome set instead of raising mid-search.
         work.seconds = time.perf_counter() - started
         return ExplorationResult(
-            partial.outcomes if finish is None else finish(partial.outcomes),
+            partial.outcomes,
             work,
             partial.deadlock_states,
             complete=False,

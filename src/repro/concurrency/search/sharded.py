@@ -61,7 +61,7 @@ deadlock-state collection requested -- the strategy degrades to
 it as sleep sets (see ``ShardedParallel._shard_reduction`` for why the
 mutable whole-search dpor state cannot be partitioned across one-shot
 fork workers); only the sequential degradation path runs true
-source-DPOR with symmetry canonicalisation.
+source-DPOR over canonical state keys.
 """
 
 from __future__ import annotations
@@ -250,10 +250,6 @@ class ShardedParallel(SearchStrategy):
     shard_depth: int = 3
     reduction: str = "none"
     context_bound: Optional[int] = None
-    #: With ``reduction="dpor"``: honoured only on the degradation path
-    #: (see ``_shard_reduction``); the sharded pipeline itself runs
-    #: sleep sets.
-    symmetry: bool = False
 
     name = "sharded"
 
@@ -269,7 +265,7 @@ class ShardedParallel(SearchStrategy):
         channel) cannot express.  Sleep sets are the sound projection
         that *does* partition -- each root carries its own frozen sleep
         seed.  The ``_sequential`` degradation path is not affected: it
-        runs full dpor (and symmetry) in one process.
+        runs full dpor in one process.
         """
         return "sleep" if self.reduction == "dpor" else self.reduction
 
@@ -298,7 +294,6 @@ class ShardedParallel(SearchStrategy):
         return SequentialDFS(
             reduction=self.reduction,
             context_bound=self.context_bound,
-            symmetry=self.symmetry,
         )
 
     def _expand(

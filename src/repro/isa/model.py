@@ -11,40 +11,29 @@ interpreter-state hashing relies on).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..sail.analysis import Footprint, FootprintAnalysis
 from ..sail.ast import FunctionClause
-from ..sail.compile import CompiledBackend, CompiledState
 from ..sail.interp import Interp, InterpState, initial_state, resume
 from ..sail.parser import parse_execute_clause
 from .defs import ALL_SPECS
 from .registers import Registry, power_registry
 from .spec import DecodeTable, InstructionSpec
 
-#: Environment switch for the Sail execution backend, read when a model is
-#: constructed without an explicit ``sail_backend`` (the CLI/bench paths).
-SAIL_BACKEND_ENV = "PPCMEM2_SAIL_BACKEND"
-
-#: Default execution backend: the ahead-of-time compiled bodies
-#: (``sail/compile.py``); ``"interp"`` selects the reference CEK
-#: interpreter.  Both produce bit-identical outcome sequences (pinned by
-#: ``tests/test_sail_compile.py``).
-DEFAULT_SAIL_BACKEND = "compiled"
-
-_SAIL_BACKENDS = ("compiled", "interp")
+#: Provenance name of the Sail execution engine, recorded by benchmarks.
+#: The reference interpreter is the only engine; nothing selects it.
+SAIL_BACKEND = "interp"
 
 
 def resolve_sail_backend(explicit: Optional[str] = None) -> str:
-    """The backend to use: explicit argument, else environment, else default."""
-    backend = explicit or os.environ.get(SAIL_BACKEND_ENV) or DEFAULT_SAIL_BACKEND
-    if backend not in _SAIL_BACKENDS:
-        raise ValueError(
-            f"unknown sail backend {backend!r} (choose from {_SAIL_BACKENDS})"
-        )
-    return backend
+    """The Sail execution engine's provenance name (always ``"interp"``).
+
+    ``explicit`` is accepted and ignored, so benchmark scripts that record
+    ``resolve_sail_backend(None)`` in their environment keep working.
+    """
+    return SAIL_BACKEND
 
 
 class DecodeError(Exception):
@@ -89,13 +78,11 @@ class DecodedInstruction:
 class IsaModel:
     """The complete ISA definition (decode + execute + analysis)."""
 
-    def __init__(self, specs=None, sail_backend: Optional[str] = None):
+    def __init__(self, specs=None):
         self.registry: Registry = power_registry()
         self._view = self.registry.parser_view()
         self.interp = Interp(self.registry)
         self.analysis = FootprintAnalysis(self.interp)
-        self.sail_backend = resolve_sail_backend(sail_backend)
-        self.compiled = CompiledBackend(self.registry, self.interp)
         self.table = DecodeTable(specs if specs is not None else ALL_SPECS)
         self._clauses: Dict[str, FunctionClause] = {}
         self._decode_cache: Dict[int, Optional[DecodedInstruction]] = {}
@@ -144,27 +131,19 @@ class IsaModel:
     # Instruction states
     # ------------------------------------------------------------------
 
-    def initial_state(self, instruction: DecodedInstruction):
+    def initial_state(self, instruction: DecodedInstruction) -> InterpState:
         """The Sail instruction state at the start of execution.
 
         Cached per opcode so instances share AST and initial state; restarts
-        (section 5) reset an instance to exactly this state.  The state's
-        concrete type depends on ``sail_backend``: a ``CompiledState`` for
-        the compiled backend, an ``InterpState`` for the interpreter -- both
-        speak the same resumable outcome protocol through
-        ``run_to_outcome`` / ``resume``.
+        (section 5) reset an instance to exactly this state.
         """
         cached = self._initial_cache.get(instruction.word)
         if cached is not None:
             return cached
         clause = self._clauses[instruction.name]
-        fields = instruction.spec.field_bits(instruction.word)
-        if self.sail_backend == "compiled":
-            state = self.compiled.initial_state(
-                instruction.spec, clause, instruction.word, fields
-            )
-        else:
-            state = initial_state(clause.body, fields)
+        state = initial_state(
+            clause.body, instruction.spec.field_bits(instruction.word)
+        )
         self._initial_cache[instruction.word] = state
         return state
 
@@ -174,18 +153,14 @@ class IsaModel:
         ``run_to_outcome`` is a pure function of an immutable state, and the
         exhaustive explorer re-executes identical instruction states along
         every interleaving, so the concurrency model's deterministic Sail
-        stepping is served from this (bounded) cache.  Dispatches on the
-        state's type, so both backends' states can flow through one model.
+        stepping is served from this (bounded) cache.
         """
         cache = self._outcome_cache
         outcome = cache.get(state)
         if outcome is None:
             if len(cache) >= 65536:
                 cache.clear()
-            if type(state) is CompiledState:
-                outcome = self.compiled.run_to_outcome(state)
-            else:
-                outcome = self.interp.run_to_outcome(state)
+            outcome = self.interp.run_to_outcome(state)
             cache[state] = outcome
         return outcome
 
@@ -203,10 +178,7 @@ class IsaModel:
         if resumed is None:
             if len(cache) >= 65536:
                 cache.clear()
-            if type(state) is CompiledState:
-                resumed = self.compiled.resume(state, value)
-            else:
-                resumed = resume(state, value)
+            resumed = resume(state, value)
             cache[key] = resumed
         return resumed
 
@@ -214,27 +186,8 @@ class IsaModel:
     # Footprints
     # ------------------------------------------------------------------
 
-    def interp_state(self, state) -> InterpState:
-        """The reference-interpreter equivalent of an instruction state.
-
-        Exhaustive lifted exploration (``fork_on_lifted`` / ``_UnknownInt``)
-        lives in the interpreter only; callers that drive it directly
-        convert compiled states here first.  Interpreter states pass
-        through unchanged.
-        """
-        if type(state) is CompiledState:
-            return self.compiled.to_interp_state(state)
-        return state
-
     def footprint(self, state, cia: Optional[int] = None) -> Footprint:
-        """Exhaustive analysis of a (possibly partially executed) state.
-
-        Always runs on the reference interpreter (the ``fork_on_lifted`` /
-        ``_UnknownInt`` machinery lives there); compiled states are
-        converted by replaying their recorded values first.
-        """
-        if type(state) is CompiledState:
-            state = self.compiled.to_interp_state(state)
+        """Exhaustive analysis of a (possibly partially executed) state."""
         return self.analysis.analyze(state, cia)
 
     def static_footprint(

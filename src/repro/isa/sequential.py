@@ -127,10 +127,10 @@ class SequentialMachine:
         """Execute one instruction; returns the next instruction address."""
         if instruction.is_invalid_form:
             raise SequentialError(f"invalid form: {instruction}")
-        # Route stepping through the model so the configured Sail backend
-        # (compiled or interpreter) drives sequential execution too, and
-        # the golden-emulator co-execution path exercises the same engine
-        # as the concurrent explorer.
+        # Route stepping through the model so sequential execution shares
+        # its memoised interpreter stepping, and the golden-emulator
+        # co-execution path exercises the same engine as the concurrent
+        # explorer.
         model = self.model
         state = model.initial_state(instruction)
         nia: Optional[int] = None

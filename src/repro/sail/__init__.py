@@ -5,8 +5,6 @@ Public surface:
 * :mod:`repro.sail.values` -- lifted bitvectors (``Bits``).
 * :mod:`repro.sail.ast` / :mod:`repro.sail.parser` -- concrete syntax.
 * :mod:`repro.sail.interp` -- the outcome-producing interpreter.
-* :mod:`repro.sail.compile` -- the ahead-of-time Sail-to-Python compiler
-  (same outcome protocol, specialised per-instruction bodies).
 * :mod:`repro.sail.analysis` -- exhaustive footprint analysis.
 * :mod:`repro.sail.outcomes` -- the ISA/concurrency interface types.
 """
@@ -24,14 +22,10 @@ from .outcomes import (
     WriteReg,
 )
 from .interp import Interp, InterpState, initial_state, resume
-from .compile import CompiledBackend, CompiledCode, CompiledState
 from .analysis import Footprint, FootprintAnalysis
 from .parser import parse_execute_clause, parse_statement
 
 __all__ = [
-    "CompiledBackend",
-    "CompiledCode",
-    "CompiledState",
     "Bits",
     "Barrier",
     "Done",

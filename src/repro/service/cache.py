@@ -16,8 +16,8 @@ Cache key
   (whitespace, instruction-column alignment, condition parenthesisation)
   never split cache entries;
 * the full parameter tuple: search-strategy name, reduction, context
-  bound, state budget, Sail execution backend, and the model-parameter
-  fingerprint (``ModelParams``);
+  bound, state budget, and the model-parameter fingerprint
+  (``ModelParams``);
 * ``SCHEMA_VERSION`` -- bumped whenever exploration *semantics* change
   (new transitions, changed reduction soundness argument, verdict
   vocabulary), which invalidates every stale entry at once.
@@ -51,7 +51,9 @@ from ..concurrency.params import DEFAULT_PARAMS, ModelParams
 #: Bump when exploration semantics change (see SERVICE.md for the rules).
 #: 2: ``reduction="dpor"`` and the ``symmetry`` key field landed, and the
 #: unique-state accounting changed meaning under dpor (canonical keys).
-SCHEMA_VERSION = 2
+#: 3: the ``symmetry`` and ``sail_backend`` key fields were removed with
+#: the features they selected.
+SCHEMA_VERSION = 3
 
 
 def cache_key(
@@ -59,9 +61,7 @@ def cache_key(
     strategy: str = "sequential",
     reduction: str = "none",
     context_bound: Optional[int] = None,
-    symmetry: bool = False,
     max_states: Optional[int] = None,
-    sail_backend: str = "compiled",
     params: ModelParams = DEFAULT_PARAMS,
 ) -> str:
     """The content hash identifying one (test, parameters) query."""
@@ -71,9 +71,7 @@ def cache_key(
         "strategy": strategy,
         "reduction": reduction,
         "context_bound": context_bound,
-        "symmetry": symmetry,
         "max_states": max_states,
-        "sail_backend": sail_backend,
         "params": asdict(params),
     }
     encoded = json.dumps(

@@ -40,6 +40,30 @@ from .engine import EngineRequest, EnvelopeEngine
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8765
 
+#: Largest request body the daemon accepts; a longer declared
+#: ``Content-Length`` is refused with 413 before any of it is read.
+MAX_BODY_BYTES = 4 * 1024 * 1024
+
+
+class BadRequest(Exception):
+    """A request body the daemon refuses: HTTP ``status`` plus a message.
+
+    ``close`` is set when the body was left unread: the connection
+    cannot be reused, since the unread bytes would parse as the next
+    request.
+    """
+
+    def __init__(self, status: int, message: str, close: bool = False):
+        super().__init__(message)
+        self.status = status
+        self.close = close
+
+
+def _json_object(value: Any, what: str) -> Dict[str, Any]:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return value
+
 
 @dataclass
 class Job:
@@ -85,10 +109,9 @@ class ServiceDaemon:
         port: int = DEFAULT_PORT,
         cache_path: str = ":memory:",
         jobs: Optional[int] = None,
-        sail_backend: Optional[str] = None,
     ):
         self.cache = VerdictCache(cache_path)
-        self.engine = EnvelopeEngine(cache=self.cache, sail_backend=sail_backend)
+        self.engine = EnvelopeEngine(cache=self.cache)
         self.worker_budget = jobs
         self._jobs: Dict[str, Job] = {}
         self._jobs_lock = threading.Lock()
@@ -167,9 +190,13 @@ class ServiceDaemon:
         return job
 
     def _requests_from_body(self, body: Dict[str, Any]) -> List[EngineRequest]:
-        options = body.get("options") or {}
+        options = _json_object(body.get("options") or {}, '"options"')
+        tests = body.get("tests") or []
+        if not isinstance(tests, list):
+            raise ValueError('"tests" must be a JSON array')
         requests: List[EngineRequest] = []
-        for item in body.get("tests") or []:
+        for item in tests:
+            item = _json_object(item, 'each entry of "tests"')
             requests.append(
                 EngineRequest.from_options(
                     source=item["source"],
@@ -181,6 +208,7 @@ class ServiceDaemon:
         if gen:
             from ..litmus.diy import generate
 
+            gen = _json_object(gen, '"gen"')
             tests = generate(
                 int(gen.get("seed", 0)),
                 int(gen.get("size", 20)),
@@ -244,7 +272,7 @@ class ServiceDaemon:
         request = EngineRequest.from_options(
             source=body["source"],
             name=body.get("name"),
-            options=body.get("options") or {},
+            options=_json_object(body.get("options") or {}, '"options"'),
         )
         verdict = self.engine.run_request(request)
         return dict(verdict.to_payload(), cached=verdict.cached)
@@ -255,7 +283,6 @@ class ServiceDaemon:
             "jobs": self.job_counts(),
             "queue_depth": self._queue.qsize(),
             "worker_budget": self.worker_budget,
-            "sail_backend": self.engine.sail_backend,
         }
 
 
@@ -267,6 +294,9 @@ class _Server(ThreadingHTTPServer):
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two writes; with Nagle on, the second
+    # waits for the client's delayed ACK on every keep-alive response.
+    disable_nagle_algorithm = True
 
     # Quiet by default: the daemon logs submissions, not every poll.
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
@@ -276,18 +306,48 @@ class _Handler(BaseHTTPRequestHandler):
     def daemon(self) -> ServiceDaemon:
         return self.server.daemon_ref  # type: ignore[attr-defined]
 
-    def _send(self, code: int, payload: Dict[str, Any]) -> None:
+    def _send(
+        self, code: int, payload: Dict[str, Any], close: bool = False
+    ) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")
+            self.close_connection = True
         self.end_headers()
         self.wfile.write(body)
 
     def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        """The request body as a JSON object, or ``BadRequest``.
+
+        A malformed or negative ``Content-Length`` is a 400 and one above
+        ``MAX_BODY_BYTES`` a 413, both refused without reading the body.
+        """
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise BadRequest(
+                400, f"bad Content-Length {declared!r}", close=True
+            )
+        if length > MAX_BODY_BYTES:
+            raise BadRequest(
+                413,
+                f"body of {length} bytes exceeds {MAX_BODY_BYTES} bytes",
+                close=True,
+            )
         raw = self.rfile.read(length) if length else b"{}"
-        return json.loads(raw.decode("utf-8"))
+        try:
+            body = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:  # includes JSON and UTF-8 decode errors
+            raise BadRequest(400, f"bad JSON body: {exc}") from None
+        if not isinstance(body, dict):
+            raise BadRequest(400, "request body must be a JSON object")
+        return body
 
     # ------------------------------------------------------------------
 
@@ -329,8 +389,8 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         try:
             body = self._read_body()
-        except (ValueError, json.JSONDecodeError) as exc:
-            self._send(400, {"error": f"bad JSON body: {exc}"})
+        except BadRequest as exc:
+            self._send(exc.status, {"error": str(exc)}, close=exc.close)
             return
         parts = [p for p in self.path.split("?")[0].split("/") if p]
         try:
@@ -352,7 +412,6 @@ def serve(
     port: int = DEFAULT_PORT,
     cache_path: str = ":memory:",
     jobs: Optional[int] = None,
-    sail_backend: Optional[str] = None,
 ) -> int:
     """CLI entry point: run the daemon until SIGTERM/SIGINT."""
     daemon = ServiceDaemon(
@@ -360,7 +419,6 @@ def serve(
         port=port,
         cache_path=cache_path,
         jobs=jobs,
-        sail_backend=sail_backend,
     )
     bound_host, bound_port = daemon.address
     print(

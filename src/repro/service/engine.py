@@ -15,7 +15,7 @@ single façade, with
   ``--reduction``/``--context-bound``);
 * an optional persistent ``VerdictCache``: a repeated query returns the
   stored verdict in microseconds, and any parameter change (budget,
-  reduction, backend, ...) correctly misses because the parameters are
+  reduction, ...) correctly misses because the parameters are
   part of the key (``service.cache.cache_key``);
 * ``run_batch`` for many requests at once, scheduling cache misses
   through the parallel corpus runner under the ``plan_worker_budget``
@@ -47,7 +47,6 @@ REQUEST_OPTION_FIELDS = (
     "shard_depth",
     "reduction",
     "context_bound",
-    "symmetry",
     "max_states",
 )
 
@@ -69,7 +68,6 @@ class EngineRequest:
     shard_depth: Optional[int] = None
     reduction: str = "none"
     context_bound: Optional[int] = None
-    symmetry: bool = False
     max_states: Optional[int] = None
 
     @classmethod
@@ -77,6 +75,8 @@ class EngineRequest:
         cls, source: str, name: Optional[str] = None, options: Optional[dict] = None
     ) -> "EngineRequest":
         """Build a request from a JSON-safe options dict (daemon path)."""
+        if not isinstance(source, str):
+            raise ValueError("source must be a string")
         options = options or {}
         unknown = set(options) - set(REQUEST_OPTION_FIELDS)
         if unknown:
@@ -214,21 +214,16 @@ class EnvelopeEngine:
     """The shared query engine behind the CLI, the harness and the daemon.
 
     ``cache`` is an optional ``VerdictCache``; without one every request
-    explores cold (the pre-service behaviour).  ``sail_backend`` pins
-    the ISA execution backend recorded in every cache key; ``params``
-    are the model parameters (also part of the key).
+    explores cold (the pre-service behaviour).  ``params`` are the model
+    parameters (part of every cache key).
     """
 
     def __init__(
         self,
         cache: Optional[VerdictCache] = None,
-        sail_backend: Optional[str] = None,
         params: ModelParams = DEFAULT_PARAMS,
     ):
-        from ..isa.model import resolve_sail_backend
-
         self.cache = cache
-        self.sail_backend = resolve_sail_backend(sail_backend)
         self.params = params
         self._model = None
 
@@ -237,12 +232,9 @@ class EnvelopeEngine:
     @property
     def model(self):
         if self._model is None:
-            from ..isa.model import IsaModel, default_model, resolve_sail_backend
+            from ..isa.model import default_model
 
-            if self.sail_backend == resolve_sail_backend(None):
-                self._model = default_model()
-            else:
-                self._model = IsaModel(sail_backend=self.sail_backend)
+            self._model = default_model()
         return self._model
 
     def resolve(self, request: EngineRequest) -> _Resolved:
@@ -263,16 +255,13 @@ class EnvelopeEngine:
             shard_depth=request.shard_depth,
             reduction=request.reduction,
             context_bound=request.context_bound,
-            symmetry=request.symmetry,
         )
         key = cache_key(
             canonical,
             strategy=strategy.name,
             reduction=strategy.reduction,
             context_bound=strategy.context_bound,
-            symmetry=getattr(strategy, "symmetry", False),
             max_states=request.max_states,
-            sail_backend=self.sail_backend,
             params=self.params,
         )
         return _Resolved(

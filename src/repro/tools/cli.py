@@ -22,8 +22,7 @@ single test's frontier across worker processes (``run --jobs N``, or
 ``litmus FILE --jobs N`` with one file).  All four also take
 ``--reduction {sleep,dpor}`` (verdict-preserving partial-order
 reduction; ``dpor`` layers source sets and canonical state keys on top
-of sleep sets, with ``--symmetry`` also folding permutation-equivalent
-threads), ``--context-bound N`` (sound under-approximation) and
+of sleep sets), ``--context-bound N`` (sound under-approximation) and
 ``--cache PATH`` (persistent verdict cache: repeated queries are
 answered in microseconds).
 
@@ -88,13 +87,6 @@ def _add_strategy_args(parser: argparse.ArgumentParser) -> None:
         "becomes a sound under-approximation (StateLimit on "
         "universal claims)",
     )
-    parser.add_argument(
-        "--symmetry",
-        action="store_true",
-        help="with --reduction dpor: also canonicalise states modulo "
-        "detected thread symmetry (orbit representatives); ignored "
-        "by the other reductions",
-    )
 
 
 def _strategy_from(args):
@@ -111,7 +103,6 @@ def _strategy_from(args):
         shard_depth=args.shard_depth,
         reduction=args.reduction,
         context_bound=args.context_bound,
-        symmetry=args.symmetry,
     )
 
 
@@ -561,8 +552,6 @@ def _client_options(args) -> dict:
         options["reduction"] = args.reduction
     if args.context_bound is not None:
         options["context_bound"] = args.context_bound
-    if args.symmetry:
-        options["symmetry"] = True
     if getattr(args, "max_states", None) is not None:
         options["max_states"] = args.max_states
     return options

@@ -56,11 +56,9 @@ def _aliased_instruction(spec):
 def _walk_paths(instruction):
     """Yield (reads, writes) slice traces for every execution path.
 
-    The walk drives the interpreter's lifted-forking mode directly, so it
-    starts from the interpreter-equivalent state whatever the model's
-    configured execution backend.
+    The walk drives the interpreter's lifted-forking mode directly.
     """
-    stack = [(MODEL.interp_state(MODEL.initial_state(instruction)), (), ())]
+    stack = [(MODEL.initial_state(instruction), (), ())]
     steps = 0
     while stack:
         state, reads, writes = stack.pop()
@@ -127,7 +125,7 @@ def test_no_read_after_own_write(spec_name):
 
 
 def _paths_with_prefix_check(instruction):
-    stack = [(MODEL.interp_state(MODEL.initial_state(instruction)), ())]
+    stack = [(MODEL.initial_state(instruction), ())]
     steps = 0
     while stack:
         state, written = stack.pop()

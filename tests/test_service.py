@@ -60,7 +60,7 @@ from repro.service import cache_key
 canonical = emit_litmus(parse_litmus(by_name("MP").source))
 print(cache_key(canonical))
 print(cache_key(canonical, strategy="sharded", reduction="sleep",
-                context_bound=3, max_states=1000, sail_backend="interp"))
+                context_bound=3, max_states=1000))
 """
 
     def test_key_identical_across_hash_seeds(self, tmp_path):
@@ -88,7 +88,6 @@ print(cache_key(canonical, strategy="sharded", reduction="sleep",
             cache_key(canonical, reduction="sleep"),
             cache_key(canonical, context_bound=2),
             cache_key(canonical, max_states=100),
-            cache_key(canonical, sail_backend="interp"),
         ]
         keys = [base] + variants
         assert len(set(keys)) == len(keys)
@@ -272,6 +271,93 @@ class TestDaemonRoundTrip:
             assert verdict["status"] in (
                 "Allowed", "Forbidden", "Observed", "StateLimit",
             )
+
+    def test_removed_symmetry_option_is_refused(self, service):
+        from repro.service.client import ServiceError
+
+        with pytest.raises(ServiceError) as excinfo:
+            service.query(by_name("MP").source, options={"symmetry": True})
+        assert excinfo.value.status == 400
+
+    @staticmethod
+    def _connect(service):
+        import http.client
+        from urllib.parse import urlsplit
+
+        address = urlsplit(service.base_url)
+        return http.client.HTTPConnection(
+            address.hostname, address.port, timeout=10
+        )
+
+    def _post_raw(self, service, path, length, body=b""):
+        """POST ``body`` with a verbatim Content-Length; (status, JSON)."""
+        import json
+
+        connection = self._connect(service)
+        try:
+            connection.putrequest("POST", path)
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", length)
+            connection.endheaders(body)
+            response = connection.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            connection.close()
+
+    def test_bad_bodies_are_refused_and_daemon_survives(self, service):
+        from repro.service.daemon import MAX_BODY_BYTES
+
+        for path in ("/v1/query", "/v1/jobs"):
+            # Refused without reading a byte of the body.
+            assert self._post_raw(service, path, "-5")[0] == 400
+            assert self._post_raw(service, path, "ten")[0] == 400
+            assert self._post_raw(
+                service, path, str(MAX_BODY_BYTES + 1)
+            )[0] == 413
+            for body in (b"[]", b'"x"', b"5", b"{"):
+                status, payload = self._post_raw(
+                    service, path, str(len(body)), body
+                )
+                assert status == 400, (path, body)
+                assert "error" in payload
+        for body in (b'{"gen": 5}', b'{"tests": "x"}', b'{"tests": [5]}',
+                     b'{"gen": {"size": 1}, "options": [1]}'):
+            status, _payload = self._post_raw(
+                service, "/v1/jobs", str(len(body)), body
+            )
+            assert status == 400, body
+        status, _payload = self._post_raw(
+            service, "/v1/query", "13", b'{"source": 5}'
+        )
+        assert status == 400
+        assert service.health()["ok"]
+
+    def test_keep_alive_cache_hits_are_fast(self, service):
+        """One HTTP/1.1 connection: repeat queries are answered without
+        the delayed-ACK stall Nagle's algorithm adds to two-write
+        responses (~40 ms each)."""
+        import json
+        import statistics
+
+        body = json.dumps(
+            {"source": by_name("MP").source, "name": "MP"}
+        ).encode()
+        headers = {"Content-Type": "application/json"}
+        connection = self._connect(service)
+        try:
+            connection.request("POST", "/v1/query", body, headers)
+            cold = json.loads(connection.getresponse().read())
+            assert not cold["cached"]
+            latencies = []
+            for _ in range(5):
+                started = time.perf_counter()
+                connection.request("POST", "/v1/query", body, headers)
+                hit = json.loads(connection.getresponse().read())
+                latencies.append(time.perf_counter() - started)
+                assert hit["cached"]
+        finally:
+            connection.close()
+        assert statistics.median(latencies) < 0.020, latencies
 
     def test_errors_are_structured(self, service):
         from repro.service.client import ServiceError
