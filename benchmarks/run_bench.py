@@ -167,21 +167,23 @@ def run_service_suite():
     return per_test, total
 
 
-def run_suite(model=None, suite="e6", strategy=None, reduction="none"):
-    """Run one benchmark suite; returns (per_test, total) dicts.
+def run_suite(model=None, suite="e6", search=None):
+    """Run one benchmark suite under ``search``; returns (per_test, total).
 
-    ``reduction`` is recorded verbatim in every per-test entry (even
-    ``"none"``) so trajectory consumers can compare reduced and
-    unreduced entries without consulting the strategy record; the
+    ``search`` is a ``SearchConfig`` (default: sequential, unreduced,
+    unbounded).  Its reduction is recorded verbatim in every per-test
+    entry (even ``"none"``) so trajectory consumers can compare reduced
+    and unreduced entries without consulting the strategy record; the
     per-test ``unique_states`` counter is the coverage that pairs with
     it (canonical-key states under ``dpor``, raw keys otherwise).
     """
-    from repro.concurrency.search import ExplorationLimit
+    from repro.concurrency.search import ExplorationLimit, SearchConfig
     from repro.isa.model import default_model
     from repro.litmus.runner import run_litmus
 
     model = model if model is not None else default_model()
-    max_states = GEN_WIDE_MAX_STATES if suite == "gen-wide" else None
+    search = search if search is not None else SearchConfig()
+    strategy = search.build()
     per_test = {}
     total_states = total_unique = total_transitions = 0
     total_seconds = 0.0
@@ -189,7 +191,7 @@ def run_suite(model=None, suite="e6", strategy=None, reduction="none"):
         limited = False
         try:
             result = run_litmus(
-                test, model, max_states=max_states, strategy=strategy
+                test, model, max_states=search.max_states, strategy=strategy
             )
             stats = result.exploration.stats
         except ExplorationLimit as exc:
@@ -203,7 +205,7 @@ def run_suite(model=None, suite="e6", strategy=None, reduction="none"):
             "finals": stats.final_states,
             "transitions": stats.transitions_taken,
             "unique_states": stats.unique_states,
-            "reduction": reduction,
+            "reduction": search.reduction,
             "seconds": round(stats.seconds, 4),
         }
         if limited:
@@ -231,6 +233,8 @@ def run_suite(model=None, suite="e6", strategy=None, reduction="none"):
 
 
 def main(argv=None) -> int:
+    from repro.concurrency.search import REDUCTIONS, STRATEGIES, SearchConfig
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", default=DEFAULT_OUTPUT)
     parser.add_argument("--label", default=None, help="trajectory entry label")
@@ -250,7 +254,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--strategy",
-        choices=("sequential", "sharded", "bounded"),
+        choices=sorted(STRATEGIES),
         default="sequential",
         help="search backend per test (default sequential)",
     )
@@ -268,7 +272,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--reduction",
-        choices=("none", "sleep", "dpor"),
+        choices=REDUCTIONS,
         default="none",
         help="partial-order reduction (verdict-preserving): sleep sets, "
         "or source-DPOR over canonical state keys",
@@ -281,9 +285,8 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.concurrency.search import make_strategy
-
-    if args.strategy != "sharded" and (
+    sharded = args.strategy == "sharded"
+    if not sharded and (
         args.intra_jobs is not None or args.shard_depth is not None
     ):
         print(
@@ -291,12 +294,13 @@ def main(argv=None) -> int:
             "--strategy sharded; ignored",
             file=sys.stderr,
         )
-    strategy = make_strategy(
-        args.strategy,
-        jobs=args.intra_jobs,
-        shard_depth=args.shard_depth,
+    search = SearchConfig(
+        strategy=args.strategy,
         reduction=args.reduction,
         context_bound=args.context_bound,
+        max_states=GEN_WIDE_MAX_STATES if args.suite == "gen-wide" else None,
+        jobs=args.intra_jobs if sharded else None,
+        shard_depth=args.shard_depth if sharded else None,
     )
     # Record what will actually run, not the raw CLI args: resolve the
     # worker count, and flag sharded entries that degrade to sequential
@@ -307,11 +311,12 @@ def main(argv=None) -> int:
         strategy_record["reduction"] = args.reduction
     if args.context_bound is not None:
         strategy_record["context_bound"] = args.context_bound
-    if args.strategy == "sharded":
+    if sharded:
         from repro.concurrency.search import ShardedParallel
 
         # Reuse the strategy's own resolution so record and runtime
         # cannot drift apart.
+        strategy = search.build()
         resolved_jobs = strategy.effective_jobs()
         strategy_record["intra_jobs"] = resolved_jobs
         strategy_record["shard_depth"] = strategy.shard_depth
@@ -321,11 +326,7 @@ def main(argv=None) -> int:
     if args.suite == "service":
         per_test, total = run_service_suite()
     else:
-        per_test, total = run_suite(
-            suite=args.suite,
-            strategy=strategy,
-            reduction=args.reduction,
-        )
+        per_test, total = run_suite(suite=args.suite, search=search)
 
     try:
         cpus = len(os.sched_getaffinity(0))

@@ -21,11 +21,10 @@ from .parallel import (
 from .params import DEFAULT_PARAMS, ModelParams
 from .search import (
     BoundedIterative,
+    SearchConfig,
     SearchStrategy,
     SequentialDFS,
     ShardedParallel,
-    make_strategy,
-    resolve_strategy,
 )
 from .storage import CoherenceViolation, StorageSubsystem
 from .system import SystemState, Transition
@@ -46,6 +45,7 @@ __all__ = [
     "InstructionInstance",
     "ModelError",
     "ModelParams",
+    "SearchConfig",
     "SearchStrategy",
     "SequentialDFS",
     "ShardedParallel",
@@ -60,8 +60,6 @@ __all__ = [
     "explore",
     "explore_corpus",
     "find_witness",
-    "make_strategy",
     "plan_worker_budget",
-    "resolve_strategy",
     "run_one",
 ]

@@ -9,18 +9,19 @@ This module is now a thin facade over the pluggable search subsystem
 (``repro.concurrency.search``): the historical ``explore`` and
 ``find_witness`` entry points delegate to a ``SearchStrategy`` backend
 (``SequentialDFS`` by default, which is bit-identical -- states visited,
-transitions taken, outcomes -- to the pre-refactor loops).  Pass
-``strategy`` (an instance or registry name) to search differently:
-``ShardedParallel`` forks the frontier across worker processes inside a
-single test, ``BoundedIterative`` trades completeness for a bounded,
-flagged partial result.
+transitions taken, outcomes -- to the pre-refactor loops).  Pass a built
+``strategy`` to search differently: ``ShardedParallel`` forks the
+frontier across worker processes inside a single test,
+``BoundedIterative`` trades completeness for a bounded, flagged partial
+result, and any backend's ``reduction``/``context_bound`` fields turn
+on the pruning layer.  ``SearchConfig.build()`` makes one from settings.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Tuple
 
-from .search import apply_reduction, resolve_strategy
+from .search import SearchStrategy, SequentialDFS
 from .search.core import (  # noqa: F401  (re-exported compatibility surface)
     ExplorationLimit,
     ExplorationResult,
@@ -40,23 +41,16 @@ def explore(
     memory_cells: Iterable[Tuple[int, int]] = (),
     max_states: Optional[int] = None,
     collect_deadlocks: bool = False,
-    strategy=None,
-    reduction: str = "none",
-    context_bound: Optional[int] = None,
+    strategy: SearchStrategy = SequentialDFS(),
 ) -> ExplorationResult:
     """Exhaustively enumerate all reachable final states.
 
     ``memory_cells`` lists (addr, size) memory locations whose final values
     the caller cares about (from the litmus test's final condition);
-    ``strategy`` picks the search backend (default: sequential DFS);
-    ``reduction``/``context_bound`` apply the partial-order reduction
-    options to it (``"sleep"`` preserves the outcome envelope, a context
-    bound may truncate it -- reported via ``ExplorationResult.complete``;
-    ``"dpor"`` layers source sets and canonical state keys on top).
+    ``strategy`` is the search backend.  A context bound on it may
+    truncate the outcome set, reported via ``ExplorationResult.complete``.
     """
-    return apply_reduction(
-        resolve_strategy(strategy), reduction, context_bound
-    ).explore(
+    return strategy.explore(
         initial,
         memory_cells=memory_cells,
         max_states=max_states,
@@ -69,9 +63,7 @@ def find_witness(
     predicate,
     memory_cells: Iterable[Tuple[int, int]] = (),
     max_states: Optional[int] = None,
-    strategy=None,
-    reduction: str = "none",
-    context_bound: Optional[int] = None,
+    strategy: SearchStrategy = SequentialDFS(),
 ) -> Optional[Witness]:
     """Search for one execution whose outcome satisfies ``predicate``.
 
@@ -79,15 +71,12 @@ def find_witness(
     ``.stats`` carrying the same accounting as ``explore``) for the first
     witnessing execution found, or None if the predicate is unsatisfiable.
     The trace is the abstract-machine run behind the outcome -- the
-    executable counterpart of the paper's execution diagrams.
-    ``reduction``/``context_bound`` behave as in
-    ``explore`` (a context-truncated witness search raises instead of
-    returning an unsupported ``None``; witness searches run ``dpor`` as
-    sleep sets so the returned trace is a concrete execution).
+    executable counterpart of the paper's execution diagrams.  A
+    context-truncated witness search raises instead of returning an
+    unsupported ``None``; witness searches run ``dpor`` as sleep sets so
+    the returned trace is a concrete execution.
     """
-    return apply_reduction(
-        resolve_strategy(strategy), reduction, context_bound
-    ).find_witness(
+    return strategy.find_witness(
         initial,
         predicate,
         memory_cells=memory_cells,

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
 from .params import DEFAULT_PARAMS, ModelParams
-from .search import SearchStrategy, ShardedParallel, resolve_strategy
+from .search import SearchStrategy, SequentialDFS, ShardedParallel
 from .search.core import ExplorationLimit, ExplorationStats
 
 #: One unit of work: (name, litmus source, params, max_states, strategy).
@@ -261,22 +261,20 @@ def explore_corpus(
     jobs: Optional[int] = None,
     params: ModelParams = DEFAULT_PARAMS,
     max_states: Optional[int] = None,
-    strategy=None,
+    strategy: SearchStrategy = SequentialDFS(),
 ) -> CorpusReport:
     """Exhaustively run a corpus of litmus tests, sharded across workers.
 
     ``items`` is a sequence of (name, litmus source) pairs; ``jobs`` is
     the total worker budget (default: usable CPU count), split between
     per-test sharding and intra-test frontier workers by
-    ``plan_worker_budget``.  ``strategy`` picks the per-test search
-    backend (name or ``SearchStrategy``; default sequential DFS).
-    ``jobs=1`` (or a single test) runs inline in this process -- same
-    results, no pool overhead.
+    ``plan_worker_budget``.  ``strategy`` is the per-test search
+    backend.  ``jobs=1`` (or a single test) runs inline in this process
+    -- same results, no pool overhead.
     """
     budget = jobs if jobs is not None else default_job_count()
     tasks_source = list(items)
     corpus_jobs, intra_jobs = plan_worker_budget(budget, len(tasks_source))
-    strategy = resolve_strategy(strategy)
     needs_forking_workers = False
     if isinstance(strategy, ShardedParallel):
         if corpus_jobs == 1:

@@ -22,13 +22,12 @@ drastically smaller search.  ``reduction="dpor"`` (see ``dpor``) layers
 source sets and a canonical state-key quotient on top of sleep sets
 (sharded backends run the sleep-set projection; see ``sharded``).
 
-``resolve_strategy`` turns ``None`` / a name / an instance into a
-strategy; ``make_strategy`` builds one by name with tuning options (the
-CLI's ``--strategy`` / ``--shard-depth`` / ``--reduction`` /
-``--context-bound``); ``apply_reduction`` rebuilds an existing strategy
-with reduction options applied; ``build_strategy`` composes all of the
-above into the one construction path shared by the CLI, the litmus
-runner, the testgen harness, and the service engine.
+``SearchConfig`` is the one value that carries a query's search
+settings -- strategy name, reduction, context bound, state budget and
+the sharded backend's ``jobs``/``shard_depth`` -- from a CLI flag or a
+daemon JSON ``options`` object down to ``SearchConfig.build()``, the
+only place a strategy is constructed from settings; the service cache
+key is derived from the same value.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from .core import (
     replay_index_path,
     run_search,
 )
-from .reduction import Reducer, make_reducer
+from .reduction import REDUCTIONS, Reducer, make_reducer
 from .sequential import SequentialDFS
 from .sharded import ShardedParallel
 
@@ -62,101 +61,77 @@ STRATEGIES: Dict[str, Type[SearchStrategy]] = {
 }
 
 
-def make_strategy(
-    name: str,
-    jobs: Optional[int] = None,
-    shard_depth: Optional[int] = None,
-    initial_budget: Optional[int] = None,
-    reduction: str = "none",
-    context_bound: Optional[int] = None,
-) -> SearchStrategy:
-    """Build a strategy by registry name, applying only relevant options."""
-    try:
-        cls = STRATEGIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown search strategy {name!r} "
-            f"(choose from {sorted(STRATEGIES)})"
-        ) from None
-    options = {"reduction": reduction, "context_bound": context_bound}
-    if cls is ShardedParallel:
-        if jobs is not None:
-            options["jobs"] = jobs
-        if shard_depth is not None:
-            options["shard_depth"] = shard_depth
-        return ShardedParallel(**options)
-    if cls is BoundedIterative and initial_budget is not None:
-        options["initial_budget"] = initial_budget
-    return cls(**options)
+#: Smallest accepted value of each numeric ``SearchConfig`` field.
+_LEAST = {"max_states": 1, "context_bound": 0, "jobs": 1, "shard_depth": 0}
 
 
-def apply_reduction(
-    strategy: SearchStrategy,
-    reduction: str = "none",
-    context_bound: Optional[int] = None,
-) -> SearchStrategy:
-    """A copy of ``strategy`` with the pruning options applied.
+@dataclasses.dataclass(frozen=True)
+class SearchConfig:
+    """Every search setting of one oracle query, validated on creation.
 
-    Every registered backend carries both fields, so this is a
-    plain ``dataclasses.replace``; no-op when all options are defaults
-    (so callers can thread them unconditionally without disturbing
-    explicitly pre-configured strategy instances).
+    ``jobs`` and ``shard_depth`` tune only the sharded backend (other
+    strategies ignore them) and never change an outcome set, so the
+    cache key leaves them out (``service.cache.cache_key``).
     """
-    if reduction == "none" and context_bound is None:
-        return strategy
-    return dataclasses.replace(
-        strategy, reduction=reduction, context_bound=context_bound
-    )
 
+    strategy: str = SequentialDFS.name
+    reduction: str = "none"
+    context_bound: Optional[int] = None
+    max_states: Optional[int] = None
+    jobs: Optional[int] = None
+    shard_depth: Optional[int] = None
 
-def resolve_strategy(spec=None, **options) -> SearchStrategy:
-    """Coerce ``None`` / a name / a ``SearchStrategy`` into a strategy."""
-    if spec is None:
-        return SequentialDFS()
-    if isinstance(spec, SearchStrategy):
-        return spec
-    if isinstance(spec, str):
-        return make_strategy(spec, **options)
-    raise TypeError(f"not a search strategy: {spec!r}")
+    def __post_init__(self):
+        if self.strategy not in STRATEGIES:
+            raise ValueError(
+                f"unknown search strategy {self.strategy!r} "
+                f"(choose from {sorted(STRATEGIES)})"
+            )
+        if self.reduction not in REDUCTIONS:
+            raise ValueError(
+                f"unknown reduction {self.reduction!r} "
+                f"(choose from {', '.join(REDUCTIONS)})"
+            )
+        for name, least in _LEAST.items():
+            value = getattr(self, name)
+            if value is None:
+                continue
+            # ``bool`` is an ``int`` subclass: ``True`` would run as 1.
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an integer, not {value!r}")
+            if value < least:
+                raise ValueError(
+                    f"{name} must be at least {least}, not {value}"
+                )
 
+    @classmethod
+    def from_options(cls, options: Optional[dict] = None) -> "SearchConfig":
+        """Build from a JSON-safe options dict; unknown keys are refused."""
+        options = options or {}
+        unknown = set(options) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown search options: {sorted(unknown)}")
+        return cls(**options)
 
-def build_strategy(
-    spec=None,
-    jobs: Optional[int] = None,
-    shard_depth: Optional[int] = None,
-    reduction: str = "none",
-    context_bound: Optional[int] = None,
-) -> SearchStrategy:
-    """One-stop strategy construction shared by every query entry point.
+    def to_options(self) -> dict:
+        """The non-default fields: the inverse of ``from_options``."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(self)
+            if getattr(self, f.name) != f.default
+        }
 
-    Accepts whatever the caller has -- ``None``, a registry name, or a
-    pre-built ``SearchStrategy`` -- and applies the common tuning
-    options uniformly: ``jobs``/``shard_depth`` retune a sharded
-    backend, ``reduction``/``context_bound`` rebuild any backend with
-    the pruning options.  This replaces the
-    ``apply_reduction(resolve_strategy(...))`` combinations that used to
-    be spelled out separately in the CLI, the litmus runner, and the
-    testgen harness; the service engine keys its verdict cache off the
-    instance this returns.
-    """
-    if isinstance(spec, str):
-        return make_strategy(
-            spec,
-            jobs=jobs,
-            shard_depth=shard_depth,
-            reduction=reduction,
-            context_bound=context_bound,
-        )
-    strategy = resolve_strategy(spec)
-    if isinstance(strategy, ShardedParallel):
-        updates = {}
-        if jobs is not None:
-            updates["jobs"] = jobs
-        if shard_depth is not None:
-            updates["shard_depth"] = shard_depth
-        if updates:
-            strategy = dataclasses.replace(strategy, **updates)
-    return apply_reduction(strategy, reduction, context_bound)
+    def build(self) -> SearchStrategy:
+        """The strategy these settings select (budget passed separately)."""
+        options = {
+            "reduction": self.reduction,
+            "context_bound": self.context_bound,
+        }
+        if self.strategy == ShardedParallel.name:
+            options["jobs"] = self.jobs
+            if self.shard_depth is not None:
+                options["shard_depth"] = self.shard_depth
+        return STRATEGIES[self.strategy](**options)
 
 
 __all__ = [
@@ -166,19 +141,17 @@ __all__ = [
     "ExplorationStats",
     "Frontier",
     "Outcome",
+    "REDUCTIONS",
     "Reducer",
     "STRATEGIES",
+    "SearchConfig",
     "SearchStrategy",
     "SequentialDFS",
     "ShardedParallel",
     "Witness",
-    "apply_reduction",
-    "build_strategy",
     "make_reducer",
-    "make_strategy",
     "outcome_of",
     "registers_of_interest",
     "replay_index_path",
-    "resolve_strategy",
     "run_search",
 ]

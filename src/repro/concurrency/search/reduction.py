@@ -100,6 +100,10 @@ from typing import Dict, List, Optional, Tuple
 
 from ..system import SystemState, Transition
 
+#: Reduction names, weakest first: the CLI's ``--reduction`` choices and
+#: the values ``Reducer`` and ``SearchConfig`` accept.
+REDUCTIONS = ("none", "sleep", "dpor")
+
 #: A sync acknowledgement unblocks the sync's thread and feeds every
 #: Group-A check: dependent on everything, never reduced.
 GLOBAL_KINDS = frozenset({"ack_sync"})
@@ -160,10 +164,10 @@ class Reducer:
 
     def __init__(self, reduction: str = "none",
                  context_bound: Optional[int] = None):
-        if reduction not in ("none", "sleep", "dpor"):
+        if reduction not in REDUCTIONS:
             raise ValueError(
                 f"unknown reduction {reduction!r} "
-                "(choose none, sleep or dpor)"
+                f"(choose from {', '.join(REDUCTIONS)})"
             )
         # dpor layers source sets on top of the sleep-set machinery, so
         # both flags hold for it; the drivers dispatch on ``dpor`` first.

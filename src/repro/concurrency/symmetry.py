@@ -14,17 +14,18 @@ order of non-overlapping write events, yet the orders are key-distinct
 -- the blowup the seen-set can never collapse on its own.  See
 ``CanonicalKeys._events_component`` for which order facts stay live.
 
-The module also supplies the data-cell geometry the DPOR race
-abstraction maps byte ranges onto (``cells_of_range``).  The module
-keeps its name because the benchmark tracer (``perfbench/tracer.py``)
-wraps ``CanonicalKeys.canonical`` by this import path.
+Each instance also carries the data-cell geometry the DPOR race
+abstraction maps byte ranges onto (``geometry.cells_of_range``).  The
+module keeps its name because the benchmark tracer
+(``perfbench/tracer.py``) wraps ``CanonicalKeys.canonical`` by this
+import path.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Tuple
 
-from .events import INITIAL_TID, WriteId
+from .events import INITIAL_TID
 from .keys import CachedKey
 from .system import SystemState
 
@@ -81,7 +82,6 @@ class CanonicalKeys:
 
     def __init__(self, initial: SystemState):
         self.geometry = _build_geometry(initial)
-        self._write_cells: Dict[WriteId, FrozenSet[int]] = {}
         self._events_memo: Dict[tuple, tuple] = {}
 
     def canonical(self, state: SystemState) -> CachedKey:
@@ -103,17 +103,6 @@ class CanonicalKeys:
             storage._atomic_key,
             storage._cp_key,
         ))
-
-    def write_cells(self, wid: WriteId, storage) -> FrozenSet[int]:
-        """Cell indexes a write touches (memoised; footprints are fixed)."""
-        cached = self._write_cells.get(wid)
-        if cached is None:
-            write = storage.writes_seen[wid]
-            cached = self.geometry.cells_of_range(write.addr, write.size)
-            if len(self._write_cells) >= _MEMO_LIMIT:
-                self._write_cells.clear()
-            self._write_cells[wid] = cached
-        return cached
 
     # -- the propagation-list quotient -------------------------------------
 

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..concurrency.exhaustive import ExplorationResult
 from ..concurrency.params import DEFAULT_PARAMS, ModelParams
-from ..concurrency.search import build_strategy
+from ..concurrency.search import SearchStrategy, SequentialDFS
 from ..concurrency.system import SystemState
 from ..isa.assembler import Assembler
 from ..isa.model import IsaModel, default_model
@@ -169,21 +169,15 @@ def run_litmus(
     model: Optional[IsaModel] = None,
     params: ModelParams = DEFAULT_PARAMS,
     max_states: Optional[int] = None,
-    strategy=None,
-    reduction: str = "none",
-    context_bound: Optional[int] = None,
+    strategy: SearchStrategy = SequentialDFS(),
 ) -> LitmusResult:
     """Exhaustively run one litmus test and evaluate its condition.
 
-    ``strategy`` picks the search backend (a ``SearchStrategy`` instance
-    or registry name; default sequential DFS) -- e.g.
-    ``ShardedParallel(jobs=4)`` forks the test's own frontier across
-    worker processes.  ``reduction``/``context_bound`` apply the
-    partial-order reduction options to whichever backend runs
-    (``reduction="sleep"`` preserves the outcome envelope; a context
-    bound may truncate it, reported through ``exploration.complete`` /
-    the ``StateLimit`` status; ``reduction="dpor"`` layers source sets
-    and canonical state keys on top).
+    ``strategy`` is the search backend -- e.g. ``ShardedParallel(jobs=4)``
+    forks the test's own frontier across worker processes, and
+    ``SequentialDFS(reduction="dpor")`` prunes with source-DPOR.  A
+    context bound may truncate the outcome set, reported through
+    ``exploration.complete`` / the ``StateLimit`` status.
     """
     model = model if model is not None else default_model()
     system, addresses = build_system(test, model, params)
@@ -194,10 +188,7 @@ def run_litmus(
         (addresses[var], cell_size)
         for var in sorted(set(condition_locations(test.condition)))
     ]
-    engine = build_strategy(
-        strategy, reduction=reduction, context_bound=context_bound
-    )
-    result = engine.explore(
+    result = strategy.explore(
         system, memory_cells=cells, max_states=max_states
     )
 
@@ -231,9 +222,7 @@ def run_corpus(
     jobs: Optional[int] = None,
     params: ModelParams = DEFAULT_PARAMS,
     max_states: Optional[int] = None,
-    strategy=None,
-    reduction: str = "none",
-    context_bound: Optional[int] = None,
+    strategy: SearchStrategy = SequentialDFS(),
 ):
     """Exhaustively run a corpus of litmus tests across worker processes.
 
@@ -245,8 +234,6 @@ def run_corpus(
     intra-test frontier workers; ``strategy`` picks each test's search
     backend.  Returns a ``repro.concurrency.parallel.CorpusReport`` with
     per-test verdicts and merged ``ExplorationStats``.
-    ``reduction``/``context_bound`` apply the partial-order reduction
-    options to every test's backend.
     """
     from ..concurrency.parallel import explore_corpus
 
@@ -265,7 +252,5 @@ def run_corpus(
         jobs=jobs,
         params=params,
         max_states=max_states,
-        strategy=build_strategy(
-            strategy, reduction=reduction, context_bound=context_bound
-        ),
+        strategy=strategy,
     )

@@ -15,9 +15,10 @@ Cache key
   which is a fixed point of parse-then-emit, so formatting differences
   (whitespace, instruction-column alignment, condition parenthesisation)
   never split cache entries;
-* the full parameter tuple: search-strategy name, reduction, context
-  bound, state budget, and the model-parameter fingerprint
-  (``ModelParams``);
+* the ``SearchConfig`` fields that can change a verdict -- strategy
+  name, reduction, context bound, state budget (not the sharded
+  backend's ``jobs``/``shard_depth``) -- and the model-parameter
+  fingerprint (``ModelParams``);
 * ``SCHEMA_VERSION`` -- bumped whenever exploration *semantics* change
   (new transitions, changed reduction soundness argument, verdict
   vocabulary), which invalidates every stale entry at once.
@@ -47,6 +48,7 @@ from dataclasses import asdict
 from typing import Any, Dict, Optional
 
 from ..concurrency.params import DEFAULT_PARAMS, ModelParams
+from ..concurrency.search import SearchConfig
 
 #: Bump when exploration semantics change (see SERVICE.md for the rules).
 #: 2: ``reduction="dpor"`` and the ``symmetry`` key field landed, and the
@@ -58,20 +60,17 @@ SCHEMA_VERSION = 3
 
 def cache_key(
     canonical_source: str,
-    strategy: str = "sequential",
-    reduction: str = "none",
-    context_bound: Optional[int] = None,
-    max_states: Optional[int] = None,
+    search: SearchConfig = SearchConfig(),
     params: ModelParams = DEFAULT_PARAMS,
 ) -> str:
     """The content hash identifying one (test, parameters) query."""
     payload = {
         "schema": SCHEMA_VERSION,
         "test": canonical_source,
-        "strategy": strategy,
-        "reduction": reduction,
-        "context_bound": context_bound,
-        "max_states": max_states,
+        "strategy": search.strategy,
+        "reduction": search.reduction,
+        "context_bound": search.context_bound,
+        "max_states": search.max_states,
         "params": asdict(params),
     }
     encoded = json.dumps(

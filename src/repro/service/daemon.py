@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional
 
+from ..concurrency.search import SearchConfig
 from .cache import SCHEMA_VERSION, VerdictCache
 from .engine import EngineRequest, EnvelopeEngine
 
@@ -190,7 +191,11 @@ class ServiceDaemon:
         return job
 
     def _requests_from_body(self, body: Dict[str, Any]) -> List[EngineRequest]:
-        options = _json_object(body.get("options") or {}, '"options"')
+        # Validated before anything is generated or queued: a bad option
+        # is the submitter's 400, not a failed job.
+        search = SearchConfig.from_options(
+            _json_object(body.get("options") or {}, '"options"')
+        )
         tests = body.get("tests") or []
         if not isinstance(tests, list):
             raise ValueError('"tests" must be a JSON array')
@@ -198,11 +203,7 @@ class ServiceDaemon:
         for item in tests:
             item = _json_object(item, 'each entry of "tests"')
             requests.append(
-                EngineRequest.from_options(
-                    source=item["source"],
-                    name=item.get("name"),
-                    options=options,
-                )
+                EngineRequest(item["source"], item.get("name"), search)
             )
         gen = body.get("gen")
         if gen:
@@ -215,12 +216,9 @@ class ServiceDaemon:
                 max_threads=int(gen.get("max_threads", 4)),
                 max_run=int(gen.get("max_run", 2)),
             )
-            for test in tests:
-                requests.append(
-                    EngineRequest.from_options(
-                        source=test.source, name=test.name, options=options
-                    )
-                )
+            requests.extend(
+                EngineRequest(test.source, test.name, search) for test in tests
+            )
         return requests
 
     def job(self, job_id: str) -> Optional[Job]:

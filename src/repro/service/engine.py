@@ -10,9 +10,10 @@ single façade, with
 * canonicalisation: the litmus source is parsed and re-emitted through
   ``litmus/emit.emit_litmus`` (a parse/emit fixed point), so two
   differently-formatted copies of the same test are the same query;
-* strategy construction through ``concurrency.search.build_strategy``
-  (the one shared path for ``--strategy``/``--shard-depth``/
-  ``--reduction``/``--context-bound``);
+* one ``concurrency.search.SearchConfig`` per request: the same value
+  carries ``--strategy``/``--shard-depth``/``--reduction``/
+  ``--context-bound``/``--max-states`` or the daemon's JSON ``options``,
+  builds the strategy that runs, and derives the cache key;
 * an optional persistent ``VerdictCache``: a repeated query returns the
   stored verdict in microseconds, and any parameter change (budget,
   reduction, ...) correctly misses because the parameters are
@@ -33,55 +34,32 @@ from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..concurrency.params import DEFAULT_PARAMS, ModelParams
-from ..concurrency.search import build_strategy
+from ..concurrency.search import SearchConfig
 from ..concurrency.search.core import ExplorationLimit, ExplorationStats
 from .cache import VerdictCache, cache_key
 
 #: Outcome tuples as produced by the search core: hashable nested tuples.
 Outcome = Tuple[Tuple, Tuple]
 
-#: ``EngineRequest`` fields the daemon accepts from JSON "options".
-REQUEST_OPTION_FIELDS = (
-    "strategy",
-    "jobs",
-    "shard_depth",
-    "reduction",
-    "context_bound",
-    "max_states",
-)
-
 
 @dataclass(frozen=True)
 class EngineRequest:
-    """One oracle query: a litmus source plus the exploration parameters.
-
-    ``strategy`` may be a registry name (the only form the daemon's JSON
-    API accepts), a pre-built ``SearchStrategy`` instance, or ``None``
-    (sequential DFS).  All other fields are plain data, so requests
-    serialise over the service protocol unchanged.
-    """
+    """One oracle query: a litmus source plus its search settings."""
 
     source: str
     name: Optional[str] = None
-    strategy: Any = None
-    jobs: Optional[int] = None
-    shard_depth: Optional[int] = None
-    reduction: str = "none"
-    context_bound: Optional[int] = None
-    max_states: Optional[int] = None
+    search: SearchConfig = SearchConfig()
+
+    def __post_init__(self):
+        if not isinstance(self.source, str):
+            raise ValueError("source must be a string")
 
     @classmethod
     def from_options(
         cls, source: str, name: Optional[str] = None, options: Optional[dict] = None
     ) -> "EngineRequest":
         """Build a request from a JSON-safe options dict (daemon path)."""
-        if not isinstance(source, str):
-            raise ValueError("source must be a string")
-        options = options or {}
-        unknown = set(options) - set(REQUEST_OPTION_FIELDS)
-        if unknown:
-            raise ValueError(f"unknown request options: {sorted(unknown)}")
-        return cls(source=source, name=name, **options)
+        return cls(source, name, SearchConfig.from_options(options))
 
 
 @dataclass
@@ -177,8 +155,7 @@ class _Resolved:
     name: str
     test: Any  # parsed LitmusTest
     canonical_source: str
-    strategy: Any  # resolved SearchStrategy instance
-    max_states: Optional[int]
+    search: SearchConfig
     key: str
 
 
@@ -240,37 +217,20 @@ class EnvelopeEngine:
     def resolve(self, request: EngineRequest) -> _Resolved:
         """Parse + canonicalise a request and derive its cache key.
 
-        The key is computed from the *resolved* strategy (name,
-        reduction, context bound after ``build_strategy`` applied the
-        request's options), so what is keyed is exactly what runs.
+        The key and the strategy that runs both come from the request's
+        ``SearchConfig``, so what is keyed is exactly what runs.
         """
         from ..litmus.emit import emit_litmus
         from ..litmus.parser import parse_litmus
 
         test = parse_litmus(request.source)
         canonical = emit_litmus(test)
-        strategy = build_strategy(
-            request.strategy,
-            jobs=request.jobs,
-            shard_depth=request.shard_depth,
-            reduction=request.reduction,
-            context_bound=request.context_bound,
-        )
-        key = cache_key(
-            canonical,
-            strategy=strategy.name,
-            reduction=strategy.reduction,
-            context_bound=strategy.context_bound,
-            max_states=request.max_states,
-            params=self.params,
-        )
         return _Resolved(
             name=request.name or test.name,
             test=test,
             canonical_source=canonical,
-            strategy=strategy,
-            max_states=request.max_states,
-            key=key,
+            search=request.search,
+            key=cache_key(canonical, request.search, self.params),
         )
 
     def request_key(self, request: EngineRequest) -> str:
@@ -295,11 +255,10 @@ class EnvelopeEngine:
     ) -> BatchResult:
         """Answer many requests, fanning cache misses across workers.
 
-        Misses are grouped by their (strategy, budget) parameter tuple
-        and each group runs through the parallel corpus runner, which
-        splits the ``jobs`` budget between per-test and intra-test
-        workers via ``plan_worker_budget``.  Verdict order matches
-        request order.
+        Misses are grouped by their ``SearchConfig`` and each group runs
+        through the parallel corpus runner, which splits the ``jobs``
+        budget between per-test and intra-test workers via
+        ``plan_worker_budget``.  Verdict order matches request order.
         """
         from ..concurrency.parallel import explore_corpus
 
@@ -312,13 +271,12 @@ class EnvelopeEngine:
             if hit is not None:
                 verdicts[i] = hit
                 hits += 1
-        miss_groups: Dict[Tuple, List[int]] = {}
+        miss_groups: Dict[SearchConfig, List[int]] = {}
         for i, res in enumerate(resolved):
             if verdicts[i] is None:
-                group = (res.strategy, res.max_states)
-                miss_groups.setdefault(group, []).append(i)
+                miss_groups.setdefault(res.search, []).append(i)
         report_jobs = 1
-        for (strategy, max_states), indexes in miss_groups.items():
+        for search, indexes in miss_groups.items():
             report = explore_corpus(
                 [
                     (resolved[i].name, resolved[i].canonical_source)
@@ -326,8 +284,8 @@ class EnvelopeEngine:
                 ],
                 jobs=jobs,
                 params=self.params,
-                max_states=max_states,
-                strategy=strategy,
+                max_states=search.max_states,
+                strategy=search.build(),
             )
             report_jobs = max(report_jobs, report.jobs)
             for i, result in zip(indexes, report.results):
@@ -358,7 +316,7 @@ class EnvelopeEngine:
         # Partial outcome sets from the sharded backend depend on worker
         # timing; every other verdict (complete, or deterministically
         # truncated by sequential/bounded search) is safe to memoise.
-        if not verdict.complete and resolved.strategy.name == "sharded":
+        if not verdict.complete and resolved.search.strategy == "sharded":
             return
         self.cache.put(resolved.key, verdict.name, verdict.to_payload())
 
@@ -370,8 +328,8 @@ class EnvelopeEngine:
                 resolved.test,
                 self.model,
                 params=self.params,
-                max_states=resolved.max_states,
-                strategy=resolved.strategy,
+                max_states=resolved.search.max_states,
+                strategy=resolved.search.build(),
             )
         except ExplorationLimit as limit:
             stats = limit.stats if limit.stats is not None else ExplorationStats()

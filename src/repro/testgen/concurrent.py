@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
-from ..concurrency.params import DEFAULT_PARAMS, ModelParams
+from ..concurrency.search import SearchConfig
 from ..litmus.diy import Edge, GeneratedTest
 
 #: Dependency edges whose unresolved input blocks every po-later store.
@@ -339,12 +339,8 @@ class OracleReport:
 
 def check_suite(
     tests: Sequence[GeneratedTest],
+    search: SearchConfig = SearchConfig(max_states=150_000),
     jobs: Optional[int] = None,
-    params: ModelParams = DEFAULT_PARAMS,
-    max_states: Optional[int] = 150_000,
-    strategy=None,
-    reduction: str = "none",
-    context_bound: Optional[int] = None,
     engine=None,
 ) -> OracleReport:
     """Run a generated suite and check every envelope invariant.
@@ -353,30 +349,20 @@ def check_suite(
     (``repro.service.EnvelopeEngine.run_batch``): tests are sharded
     across a ``jobs`` worker budget, and -- when ``engine`` carries a
     ``VerdictCache`` -- previously-decided tests are answered from the
-    cache instead of re-explored.  ``strategy`` picks each test's search
-    backend (``BoundedIterative`` turns combinatorial blowups into
-    partial-outcome "StateLimit" skips with real work accounting);
-    ``max_states`` bounds each test's exploration (blowups become skips,
-    not failures).  ``reduction="sleep"`` prunes commuting interleavings
-    while preserving every verdict; ``context_bound`` trades
-    completeness for speed (truncated tests degrade to "StateLimit"
-    skips like budget exhaustion does).  ``reduction="dpor"`` layers
-    source sets and canonical state keys on top of sleep sets.
+    cache instead of re-explored.  ``search`` holds every test's search
+    settings.  Its ``max_states`` bounds each exploration, so blowups
+    become "StateLimit" skips, not failures; ``strategy="bounded"``
+    keeps their partial outcomes and work accounting; a context bound
+    degrades truncated tests to the same skips.  ``reduction`` "sleep"
+    and "dpor" prune interleavings while preserving every verdict.
+    Model parameters come from ``engine`` (default ``DEFAULT_PARAMS``).
     """
     from ..service.engine import EngineRequest, EnvelopeEngine
 
     if engine is None:
-        engine = EnvelopeEngine(params=params)
+        engine = EnvelopeEngine()
     requests = [
-        EngineRequest(
-            source=test.source,
-            name=test.name,
-            strategy=strategy,
-            reduction=reduction,
-            context_bound=context_bound,
-            max_states=max_states,
-        )
-        for test in tests
+        EngineRequest(test.source, test.name, search) for test in tests
     ]
     batch = engine.run_batch(requests, jobs=jobs)
     checks: List[OracleCheck] = []

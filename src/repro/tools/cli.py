@@ -20,11 +20,13 @@ The oracle verbs are thin clients of the shared service engine
 ``--shard-depth``) to pick the search backend; ``sharded`` forks a
 single test's frontier across worker processes (``run --jobs N``, or
 ``litmus FILE --jobs N`` with one file).  All four also take
-``--reduction {sleep,dpor}`` (verdict-preserving partial-order
+``--reduction {none,sleep,dpor}`` (verdict-preserving partial-order
 reduction; ``dpor`` layers source sets and canonical state keys on top
 of sleep sets), ``--context-bound N`` (sound under-approximation) and
 ``--cache PATH`` (persistent verdict cache: repeated queries are
-answered in microseconds).
+answered in microseconds).  ``_config_from`` turns these flags (and
+``--max-states``) into the one ``SearchConfig`` a verb hands to the
+engine, or, for ``client``, sends as the daemon's JSON ``options``.
 
 The interactive mode shows Fig. 3-style system states: storage subsystem
 contents (writes seen, coherence, propagation lists, unacknowledged syncs)
@@ -38,7 +40,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from ..concurrency.search import STRATEGIES
+from ..concurrency.search import REDUCTIONS, STRATEGIES, SearchConfig
 from ..litmus.library import corpus
 from ..litmus.parser import parse_litmus
 from ..litmus.runner import build_system
@@ -72,7 +74,7 @@ def _add_strategy_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--reduction",
-        choices=("none", "sleep", "dpor"),
+        choices=REDUCTIONS,
         default="none",
         help="partial-order reduction: 'sleep' prunes commuting "
         "interleavings with sleep sets; 'dpor' adds source-DPOR race "
@@ -89,20 +91,34 @@ def _add_strategy_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _strategy_from(args):
-    from ..concurrency.search import build_strategy
+def _config_from(args) -> SearchConfig:
+    """The one ``SearchConfig`` a verb's search flags describe.
 
-    if args.shard_depth is not None and args.strategy != "sharded":
+    ``--shard-depth`` and ``run --jobs`` tune only the sharded backend;
+    with another strategy they are dropped with a warning.  Raises
+    ``ValueError`` on an out-of-range value.
+    """
+    sharded = args.strategy == "sharded"
+    if args.shard_depth is not None and not sharded:
         print(
             f"warning: --shard-depth only applies to --strategy sharded; "
             f"ignored for {args.strategy}",
             file=sys.stderr,
         )
-    return build_strategy(
-        args.strategy,
-        shard_depth=args.shard_depth,
+    jobs = args.jobs if args.command == "run" else None
+    if jobs is not None and not sharded:
+        print(
+            "warning: run --jobs only applies to --strategy sharded; "
+            "running single-process",
+            file=sys.stderr,
+        )
+    return SearchConfig(
+        strategy=args.strategy,
         reduction=args.reduction,
         context_bound=args.context_bound,
+        max_states=getattr(args, "max_states", None),
+        jobs=jobs if sharded else None,
+        shard_depth=args.shard_depth if sharded else None,
     )
 
 
@@ -116,18 +132,6 @@ def _engine_from(args):
 
         cache = VerdictCache(args.cache)
     return EnvelopeEngine(cache=cache)
-
-
-def _request_for(source, name, args, jobs=None, max_states=None):
-    from ..service.engine import EngineRequest
-
-    return EngineRequest(
-        source=source,
-        name=name,
-        strategy=_strategy_from(args),
-        jobs=jobs,
-        max_states=max_states,
-    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -309,30 +313,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
 
     args = parser.parse_args(argv)
+    search = None
+    if hasattr(args, "strategy"):
+        try:
+            search = _config_from(args)
+        except ValueError as exc:
+            parser.error(str(exc))
     if args.command == "run":
-        jobs = args.jobs
-        if args.strategy != "sharded" and jobs is not None:
-            print(
-                "warning: run --jobs only applies to --strategy sharded; "
-                "running single-process",
-                file=sys.stderr,
-            )
-            jobs = None
-        return _cmd_run(args.test, args, jobs)
+        return _cmd_run(args.test, search, args)
     if args.command == "interactive":
         return _cmd_interactive(args.test)
     if args.command == "corpus":
-        return _cmd_corpus(args.jobs, args)
+        return _cmd_corpus(args.jobs, search, args)
     if args.command == "litmus":
-        return _cmd_litmus(
-            args.tests,
-            args.corpus,
-            args.jobs,
-            args.max_states,
-            args,
-        )
+        return _cmd_litmus(args.tests, args.corpus, args.jobs, search, args)
     if args.command == "gen":
-        return _cmd_gen(args)
+        return _cmd_gen(args, search)
     if args.command == "serve":
         from ..service.daemon import serve
 
@@ -343,19 +339,20 @@ def main(argv: Optional[List[str]] = None) -> int:
             jobs=args.jobs,
         )
     if args.command == "client":
-        return _cmd_client(args)
+        return _cmd_client(args, search)
     if args.command == "elf":
         return _cmd_elf(args.binary, args.max_instructions)
     return 2
 
 
-def _cmd_run(path: str, args, jobs=None) -> int:
+def _cmd_run(path: str, search: SearchConfig, args) -> int:
     from ..service.client import format_verdict
+    from ..service.engine import EngineRequest
 
     with open(path) as handle:
         source = handle.read()
     engine = _engine_from(args)
-    verdict = engine.run_request(_request_for(source, None, args, jobs=jobs))
+    verdict = engine.run_request(EngineRequest(source, None, search))
     for line in format_verdict(dict(verdict.to_payload(), cached=verdict.cached)):
         print(line)
     return 0
@@ -395,11 +392,13 @@ def _cmd_interactive(path: str) -> int:
         step += 1
 
 
-def _cmd_corpus(jobs: int = 1, args=None) -> int:
+def _cmd_corpus(jobs: int, search: SearchConfig, args) -> int:
+    from ..service.engine import EngineRequest
+
     entries = corpus()
     engine = _engine_from(args)
     batch = engine.run_batch(
-        [_request_for(entry.source, entry.name, args) for entry in entries],
+        [EngineRequest(entry.source, entry.name, search) for entry in entries],
         jobs=jobs,
     )
     statuses = {v.name: v.status for v in batch.verdicts}
@@ -419,8 +418,10 @@ def _cmd_corpus(jobs: int = 1, args=None) -> int:
     return 0 if sound else 1
 
 
-def _cmd_litmus(paths, include_corpus: bool, jobs, max_states,
-                args=None) -> int:
+def _cmd_litmus(paths, include_corpus: bool, jobs, search: SearchConfig,
+                args) -> int:
+    from ..service.engine import EngineRequest
+
     entries = []
     for path in paths:
         with open(path) as handle:
@@ -431,10 +432,7 @@ def _cmd_litmus(paths, include_corpus: bool, jobs, max_states,
         entries.extend((e.name, e.source) for e in corpus())
     engine = _engine_from(args)
     batch = engine.run_batch(
-        [
-            _request_for(source, name, args, max_states=max_states)
-            for name, source in entries
-        ],
+        [EngineRequest(source, name, search) for name, source in entries],
         jobs=jobs,
     )
     exhausted = 0
@@ -471,7 +469,7 @@ def _cmd_litmus(paths, include_corpus: bool, jobs, max_states,
     return 0
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args, search: SearchConfig) -> int:
     """Generate a diy suite; print (or save) it, optionally oracle-check it."""
     import os
 
@@ -509,13 +507,7 @@ def _cmd_gen(args) -> int:
     if args.cache:
         # A persistent cache turns repeated gen sweeps into lookups.
         extra["engine"] = _engine_from(args)
-    report = check_suite(
-        tests,
-        jobs=args.jobs,
-        max_states=args.max_states,
-        strategy=_strategy_from(args),
-        **extra,
-    )
+    report = check_suite(tests, search=search, jobs=args.jobs, **extra)
     # Diagnostics go to stderr: stdout stays a clean litmus stream.
     for check in report.checks:
         verdict = (
@@ -541,23 +533,7 @@ def _cmd_gen(args) -> int:
     return 1 if report.violations else 0
 
 
-def _client_options(args) -> dict:
-    """JSON-safe engine options from the shared strategy flags."""
-    options = {}
-    if args.strategy != "sequential":
-        options["strategy"] = args.strategy
-    if args.shard_depth is not None:
-        options["shard_depth"] = args.shard_depth
-    if args.reduction != "none":
-        options["reduction"] = args.reduction
-    if args.context_bound is not None:
-        options["context_bound"] = args.context_bound
-    if getattr(args, "max_states", None) is not None:
-        options["max_states"] = args.max_states
-    return options
-
-
-def _cmd_client(args) -> int:
+def _cmd_client(args, search: Optional[SearchConfig]) -> int:
     import json
 
     from ..service.client import ServiceClient, ServiceError, format_verdict
@@ -582,7 +558,7 @@ def _cmd_client(args) -> int:
         if args.action == "run":
             with open(args.test) as handle:
                 source = handle.read()
-            verdict = client.query(source, options=_client_options(args))
+            verdict = client.query(source, options=search.to_options())
             for line in format_verdict(verdict):
                 print(line)
             return 0
@@ -601,7 +577,7 @@ def _cmd_client(args) -> int:
                     "max_run": args.gen_max_run,
                 }
             submitted = client.submit(
-                tests, options=_client_options(args), gen=gen
+                tests, options=search.to_options(), gen=gen
             )
             if not args.wait:
                 print(json.dumps(submitted, indent=2))

@@ -66,8 +66,7 @@ class TestCli:
         # CI gen smoke jobs cannot scroll past a soundness break.
         from repro.testgen import concurrent
 
-        def fake_check_suite(tests, jobs=None, max_states=None,
-                             strategy=None, params=None):
+        def fake_check_suite(tests, search=None, jobs=None, engine=None):
             checks = [
                 concurrent.OracleCheck(
                     name=test.name,

@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro.concurrency.search import SearchConfig
 from repro.isa.model import default_model
 from repro.litmus import diy
 from repro.litmus.library import by_name
@@ -363,7 +364,9 @@ def test_oracle_invariants_sample():
     sample = _oracle_sample()
     expectations = {expectation(test.edges) for test in sample}
     assert expectations == {"Allowed", "Forbidden"}  # both directions hit
-    report = check_suite(sample, jobs=1, max_states=150_000)
+    report = check_suite(
+        sample, search=SearchConfig(max_states=150_000), jobs=1
+    )
     assert report.checked == len(sample)
     assert report.sound, [
         (v.name, v.expected, v.status) for v in report.violations
@@ -379,8 +382,8 @@ def test_oracle_invariants_full_suite():
     suite = diy.generate(0, 200)
     report = check_suite(
         suite,
+        search=SearchConfig(max_states=200_000),
         jobs=int(os.environ.get("PPCMEM2_GEN_JOBS", "0")) or None,
-        max_states=200_000,
     )
     assert report.sound, [
         (v.name, v.expected, v.status, v.edge_names)

@@ -16,6 +16,7 @@ The heavier 3-4-thread curated shapes run under the ``slow`` marker; the
 full slow sweep is opt-in via ``PPCMEM2_SEARCH_FULL=1``.
 """
 
+import dataclasses
 import os
 
 import pytest
@@ -24,10 +25,9 @@ from repro.concurrency.exhaustive import ExplorationLimit, explore, find_witness
 from repro.concurrency.parallel import default_job_count, plan_worker_budget
 from repro.concurrency.search import (
     BoundedIterative,
+    SearchConfig,
     SequentialDFS,
     ShardedParallel,
-    make_strategy,
-    resolve_strategy,
 )
 from repro.isa.model import default_model
 from repro.litmus.library import by_name, corpus
@@ -51,6 +51,9 @@ STRATEGIES = [
     ShardedParallel(jobs=2, shard_depth=3),
     BoundedIterative(),
 ]
+
+SLEEP = SequentialDFS(reduction="sleep")
+DPOR = SequentialDFS(reduction="dpor")
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +133,7 @@ class TestSequentialBitIdentity:
     def test_facade_strategy_parameter(self, model):
         system, _ = build_system(by_name("MP").parse(), model)
         default = explore(system)
-        named = explore(system, strategy="sequential")
+        named = explore(system, strategy=SequentialDFS())
         sharded = explore(system, strategy=ShardedParallel(jobs=2))
         assert named.outcomes == default.outcomes
         assert named.stats.states_visited == default.stats.states_visited
@@ -265,7 +268,7 @@ class TestPartialStatsAccounting:
     def test_reduced_limit_stats_equal_budget(self, model):
         system, _ = build_system(by_name("SB+syncs").parse(), model)
         with pytest.raises(ExplorationLimit) as excinfo:
-            explore(system, max_states=100, reduction="sleep")
+            explore(system, max_states=100, strategy=SLEEP)
         assert excinfo.value.stats.states_visited == 100
 
     def test_corpus_totals_count_exhausted_work(self, model):
@@ -337,7 +340,7 @@ class TestWorkerBudgetComposition:
         # One test + jobs=2 + sharded: the budget flows to the frontier
         # workers; verdict and outcomes still match sequential.
         entry = by_name("SB+syncs")
-        report = run_corpus([entry], jobs=2, strategy="sharded")
+        report = run_corpus([entry], jobs=2, strategy=ShardedParallel())
         assert report.jobs == 1
         result = report.results[0]
         reference = run_litmus(entry.parse(), model)
@@ -346,7 +349,7 @@ class TestWorkerBudgetComposition:
 
     def test_multi_test_corpus_with_sharded_strategy(self, model):
         entries = [by_name("MP"), by_name("SB")]
-        report = run_corpus(entries, jobs=2, strategy="sharded")
+        report = run_corpus(entries, jobs=2, strategy=ShardedParallel())
         assert report.jobs == 2
         for result in report.results:
             reference = run_litmus(by_name(result.name).parse(), model)
@@ -358,7 +361,7 @@ class TestWorkerBudgetComposition:
         # non-daemonic executor whose workers fork 2 frontier shards
         # each.  Verdicts and outcome sets still match sequential.
         entries = [by_name("MP"), by_name("SB+syncs")]
-        report = run_corpus(entries, jobs=4, strategy="sharded")
+        report = run_corpus(entries, jobs=4, strategy=ShardedParallel())
         assert report.jobs == 2
         for result in report.results:
             reference = run_litmus(by_name(result.name).parse(), model)
@@ -368,22 +371,35 @@ class TestWorkerBudgetComposition:
 
 class TestStrategyResolution:
     def test_resolve_none_is_sequential(self):
-        assert isinstance(resolve_strategy(None), SequentialDFS)
+        assert SearchConfig().build() == SequentialDFS()
 
-    def test_resolve_instance_passthrough(self):
-        strategy = ShardedParallel(jobs=3)
-        assert resolve_strategy(strategy) is strategy
+    def test_resolve_instance_passthrough(self, model):
+        # The facades run exactly the strategy instance they are given.
+        ran = []
+
+        class Spy(SequentialDFS):
+            def explore(self, *args, **kwargs):
+                ran.append(self)
+                return super().explore(*args, **kwargs)
+
+        strategy = Spy(reduction="sleep")
+        run_litmus(by_name("MP").parse(), model, strategy=strategy)
+        assert len(ran) == 1 and ran[0] is strategy
 
     def test_make_by_name_with_options(self):
-        strategy = make_strategy("sharded", jobs=4, shard_depth=5)
+        strategy = SearchConfig(
+            strategy="sharded", jobs=4, shard_depth=5
+        ).build()
         assert strategy == ShardedParallel(jobs=4, shard_depth=5)
-        assert isinstance(make_strategy("bounded"), BoundedIterative)
+        assert SearchConfig(strategy="bounded").build() == BoundedIterative()
+        # The sharding knobs tune only the sharded backend.
+        assert SearchConfig(jobs=4, shard_depth=1).build() == SequentialDFS()
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown search strategy"):
-            make_strategy("quantum")
-        with pytest.raises(TypeError):
-            resolve_strategy(42)
+            SearchConfig(strategy="quantum")
+        with pytest.raises(ValueError, match="unknown reduction"):
+            SearchConfig(reduction="quantum")
 
     def test_strategies_are_picklable(self):
         import pickle
@@ -392,6 +408,35 @@ class TestStrategyResolution:
                          BoundedIterative(initial_budget=128)):
             clone = pickle.loads(pickle.dumps(strategy))
             assert clone == strategy
+
+
+class TestSearchConfig:
+    """The one carrier of a query's search settings validates itself."""
+
+    # Names and ``max_states`` are covered over HTTP in test_service.py.
+    @pytest.mark.parametrize("options", [
+        {"context_bound": -1}, {"context_bound": 1.5}, {"jobs": 0},
+        {"jobs": False}, {"shard_depth": -1}, {"shard_depth": "3"},
+    ], ids=repr)
+    def test_invalid_options_rejected(self, options):
+        with pytest.raises((TypeError, ValueError)):
+            SearchConfig.from_options(options)
+
+    def test_options_round_trip(self):
+        config = SearchConfig(
+            strategy="sharded", reduction="dpor", context_bound=0,
+            max_states=1, jobs=1, shard_depth=0,
+        )
+        assert SearchConfig.from_options(config.to_options()) == config
+        assert SearchConfig().to_options() == {}
+
+    @pytest.mark.parametrize("name", ["sequential", "sharded", "bounded"])
+    def test_build_carries_pruning_options(self, name):
+        strategy = SearchConfig(
+            strategy=name, reduction="dpor", context_bound=2
+        ).build()
+        assert strategy.name == name
+        assert (strategy.reduction, strategy.context_bound) == ("dpor", 2)
 
 
 class TestReductionEquivalence:
@@ -406,7 +451,7 @@ class TestReductionEquivalence:
     def test_fast_entries_sequential(self, model, name):
         test = by_name(name).parse()
         reference = run_litmus(test, model)
-        reduced = run_litmus(test, model, reduction="sleep")
+        reduced = run_litmus(test, model, strategy=SLEEP)
         assert reduced.exploration.complete, name
         assert reduced.status == reference.status, name
         assert reduced.outcomes == reference.outcomes, name
@@ -414,15 +459,17 @@ class TestReductionEquivalence:
 
     @pytest.mark.parametrize(
         "strategy",
-        [None, ShardedParallel(jobs=2, shard_depth=3), BoundedIterative()],
-        ids=lambda s: "sequential" if s is None else s.name,
+        [SequentialDFS(), ShardedParallel(jobs=2, shard_depth=3),
+         BoundedIterative()],
+        ids=lambda s: s.name,
     )
     def test_strategy_matrix(self, model, strategy):
         for name in ("MP", "SB+syncs", "R"):
             test = by_name(name).parse()
             reference = run_litmus(test, model)
             reduced = run_litmus(
-                test, model, strategy=strategy, reduction="sleep"
+                test, model,
+                strategy=dataclasses.replace(strategy, reduction="sleep"),
             )
             label = f"{name} reduced via {strategy}"
             assert reduced.exploration.complete, label
@@ -434,7 +481,7 @@ class TestReductionEquivalence:
 
         for generated in diy.generate(0, 8, max_threads=2):
             reference = run_litmus(generated.test, model)
-            reduced = run_litmus(generated.test, model, reduction="sleep")
+            reduced = run_litmus(generated.test, model, strategy=SLEEP)
             label = generated.name
             assert reduced.status == reference.status, label
             assert reduced.outcomes == reference.outcomes, label
@@ -444,14 +491,14 @@ class TestReductionEquivalence:
     def test_slow_sample_entries(self, model, name):
         test = by_name(name).parse()
         reference = run_litmus(test, model)
-        reduced = run_litmus(test, model, reduction="sleep")
+        reduced = run_litmus(test, model, strategy=SLEEP)
         assert reduced.status == reference.status, name
         assert reduced.outcomes == reference.outcomes, name
 
     def test_reduction_visits_fewer_states(self, model):
         test = by_name("SB+syncs").parse()
         reference = run_litmus(test, model)
-        reduced = run_litmus(test, model, reduction="sleep")
+        reduced = run_litmus(test, model, strategy=SLEEP)
         assert (
             reduced.exploration.stats.states_visited
             < reference.exploration.stats.states_visited
@@ -479,7 +526,7 @@ class TestDporEquivalence:
     def test_fast_entries_sequential(self, model, name):
         test = by_name(name).parse()
         reference = run_litmus(test, model)
-        reduced = run_litmus(test, model, reduction="dpor")
+        reduced = run_litmus(test, model, strategy=DPOR)
         assert reduced.exploration.complete, name
         assert reduced.status == reference.status, name
         assert reduced.outcomes == reference.outcomes, name
@@ -487,15 +534,17 @@ class TestDporEquivalence:
 
     @pytest.mark.parametrize(
         "strategy",
-        [None, BoundedIterative(), ShardedParallel(jobs=2, shard_depth=3)],
-        ids=lambda s: "sequential" if s is None else s.name,
+        [SequentialDFS(), BoundedIterative(),
+         ShardedParallel(jobs=2, shard_depth=3)],
+        ids=lambda s: s.name,
     )
     def test_strategy_matrix(self, model, strategy):
         for name in ("MP", "SB+syncs", "R"):
             test = by_name(name).parse()
             reference = run_litmus(test, model)
             reduced = run_litmus(
-                test, model, strategy=strategy, reduction="dpor"
+                test, model,
+                strategy=dataclasses.replace(strategy, reduction="dpor"),
             )
             label = f"{name} dpor via {strategy}"
             assert reduced.exploration.complete, label
@@ -507,7 +556,7 @@ class TestDporEquivalence:
 
         for generated in diy.generate(0, 8, max_threads=2):
             reference = run_litmus(generated.test, model)
-            reduced = run_litmus(generated.test, model, reduction="dpor")
+            reduced = run_litmus(generated.test, model, strategy=DPOR)
             label = generated.name
             assert reduced.status == reference.status, label
             assert reduced.outcomes == reference.outcomes, label
@@ -521,8 +570,8 @@ class TestDporEquivalence:
         from repro.litmus import diy
 
         for generated in diy.generate(0, 4, max_threads=3)[1:]:
-            sleep = run_litmus(generated.test, model, reduction="sleep")
-            dpor = run_litmus(generated.test, model, reduction="dpor")
+            sleep = run_litmus(generated.test, model, strategy=SLEEP)
+            dpor = run_litmus(generated.test, model, strategy=DPOR)
             label = generated.name
             assert dpor.exploration.complete, label
             assert dpor.status == sleep.status, label
@@ -537,15 +586,15 @@ class TestDporEquivalence:
         repair in ``run_dpor``).  Pin both resolutions survive."""
         test = by_name(name).parse()
         reference = run_litmus(test, model)
-        reduced = run_litmus(test, model, reduction="dpor")
+        reduced = run_litmus(test, model, strategy=DPOR)
         assert reduced.exploration.complete, name
         assert reduced.outcomes == reference.outcomes, name
         assert reduced.status == reference.status, name
 
     def test_dpor_visits_no_more_states_than_sleep(self, model):
         test = by_name("SB+syncs").parse()
-        sleep = run_litmus(test, model, reduction="sleep")
-        dpor = run_litmus(test, model, reduction="dpor")
+        sleep = run_litmus(test, model, strategy=SLEEP)
+        dpor = run_litmus(test, model, strategy=DPOR)
         assert (
             dpor.exploration.stats.states_visited
             < sleep.exploration.stats.states_visited
@@ -556,7 +605,7 @@ class TestDporEquivalence:
     def test_slow_sample_entries(self, model, name):
         test = by_name(name).parse()
         reference = run_litmus(test, model)
-        reduced = run_litmus(test, model, reduction="dpor")
+        reduced = run_litmus(test, model, strategy=DPOR)
         assert reduced.status == reference.status, name
         assert reduced.outcomes == reference.outcomes, name
 
@@ -565,14 +614,18 @@ class TestContextBound:
     def test_context_bound_flags_partial(self, model):
         test = by_name("SB+syncs").parse()
         full = run_litmus(test, model)
-        bounded = run_litmus(test, model, context_bound=1)
+        bounded = run_litmus(
+            test, model, strategy=SequentialDFS(context_bound=1)
+        )
         assert not bounded.exploration.complete
         assert bounded.outcomes <= full.outcomes
 
     def test_ample_context_bound_is_complete(self, model):
         test = by_name("MP").parse()
         full = run_litmus(test, model)
-        bounded = run_litmus(test, model, context_bound=64)
+        bounded = run_litmus(
+            test, model, strategy=SequentialDFS(context_bound=64)
+        )
         assert bounded.exploration.complete
         assert bounded.outcomes == full.outcomes
 

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.concurrency.search import SearchConfig
 from repro.litmus.diy import generate
 from repro.litmus.emit import emit_litmus
 from repro.litmus.library import by_name
@@ -56,12 +57,28 @@ sys.path.insert(0, {src!r})
 from repro.litmus.emit import emit_litmus
 from repro.litmus.library import by_name
 from repro.litmus.parser import parse_litmus
+from repro.concurrency.search import SearchConfig
 from repro.service import cache_key
 canonical = emit_litmus(parse_litmus(by_name("MP").source))
 print(cache_key(canonical))
-print(cache_key(canonical, strategy="sharded", reduction="sleep",
-                context_bound=3, max_states=1000))
+print(cache_key(canonical, SearchConfig(strategy="sharded", reduction="sleep",
+                                        context_bound=3, max_states=1000)))
 """
+
+    #: MP's keys as recorded before ``SearchConfig`` carried the
+    #: settings: existing on-disk caches must keep hitting.
+    PINNED = {
+        SearchConfig(): (
+            "ce22d52669258b707042886a5bcc3740269d77a6ca3429361e8c647428184676"
+        ),
+        SearchConfig(reduction="dpor", max_states=2000): (
+            "d4019034b895d8bd22524fbd76aa90f9a69045829155f4f874f810d6d44acfba"
+        ),
+        SearchConfig(
+            strategy="sharded", reduction="sleep", context_bound=3,
+            max_states=1000,
+        ): "51d15094118e41313aa3d28e8379a3112c7979de0e737ea39d9dd2a4aa54fc4c",
+    }
 
     def test_key_identical_across_hash_seeds(self, tmp_path):
         script = tmp_path / "key_probe.py"
@@ -79,18 +96,29 @@ print(cache_key(canonical, strategy="sharded", reduction="sleep",
         # And the in-process value matches the subprocess values.
         assert outputs[0].splitlines()[0] == cache_key(_canonical("MP"))
 
+    def test_keys_pinned_across_versions(self):
+        assert SCHEMA_VERSION == 3
+        canonical = _canonical("MP")
+        for search, digest in self.PINNED.items():
+            assert cache_key(canonical, search) == digest, search
+
     def test_every_parameter_changes_the_key(self):
         canonical = _canonical("MP")
         base = cache_key(canonical)
         variants = [
             cache_key(_canonical("SB")),
-            cache_key(canonical, strategy="sharded"),
-            cache_key(canonical, reduction="sleep"),
-            cache_key(canonical, context_bound=2),
-            cache_key(canonical, max_states=100),
+            cache_key(canonical, SearchConfig(strategy="sharded")),
+            cache_key(canonical, SearchConfig(reduction="sleep")),
+            cache_key(canonical, SearchConfig(context_bound=2)),
+            cache_key(canonical, SearchConfig(max_states=100)),
         ]
         keys = [base] + variants
         assert len(set(keys)) == len(keys)
+        # Sharding knobs never change an outcome set, so they share a key.
+        sharded = cache_key(canonical, SearchConfig(strategy="sharded"))
+        assert sharded == cache_key(
+            canonical, SearchConfig(strategy="sharded", jobs=2, shard_depth=1)
+        )
 
     def test_formatting_differences_do_not_split_entries(self):
         engine = EnvelopeEngine()
@@ -107,15 +135,14 @@ print(cache_key(canonical, strategy="sharded", reduction="sleep",
         engine = EnvelopeEngine()
         source = by_name("MP").source
         base = engine.request_key(EngineRequest(source=source))
-        assert base != engine.request_key(
-            EngineRequest(source=source, max_states=50)
-        )
-        assert base != engine.request_key(
-            EngineRequest(source=source, reduction="sleep")
-        )
-        assert base != engine.request_key(
-            EngineRequest(source=source, strategy="bounded", context_bound=2)
-        )
+        for search in (
+            SearchConfig(max_states=50),
+            SearchConfig(reduction="sleep"),
+            SearchConfig(strategy="bounded", context_bound=2),
+        ):
+            key = engine.request_key(EngineRequest(source, search=search))
+            assert key != base, search
+            assert key == cache_key(_canonical("MP"), search)
 
 
 class TestVerdictCachePersistence:
@@ -186,7 +213,7 @@ class TestEngineCacheEquivalence:
         cache = VerdictCache()
         engine = EnvelopeEngine(cache=cache)
         source = by_name("SB+syncs").source
-        limited = EngineRequest(source=source, max_states=50)
+        limited = EngineRequest(source, search=SearchConfig(max_states=50))
         full = EngineRequest(source=source)
 
         cold = engine.run_request(limited)
@@ -271,6 +298,23 @@ class TestDaemonRoundTrip:
             assert verdict["status"] in (
                 "Allowed", "Forbidden", "Observed", "StateLimit",
             )
+
+    @pytest.mark.parametrize("options", [
+        {"reduction": "bogus"}, {"strategy": "nope"}, {"max_states": "10"},
+        {"max_states": True}, {"max_states": 0}, {"max_states": -5},
+    ], ids=repr)
+    def test_invalid_options_refused_at_submit(self, service, options):
+        from repro.service.client import ServiceError
+
+        source = by_name("MP").source
+        before = service.stats()["jobs"]
+        with pytest.raises(ServiceError) as excinfo:
+            service.submit([("MP", source)], options=options)
+        assert excinfo.value.status == 400
+        with pytest.raises(ServiceError) as excinfo:
+            service.query(source, name="MP", options=options)
+        assert excinfo.value.status == 400
+        assert service.stats()["jobs"] == before  # nothing was queued
 
     def test_removed_symmetry_option_is_refused(self, service):
         from repro.service.client import ServiceError
