@@ -10,24 +10,17 @@ Usage::
 
     PYTHONPATH=src python benchmarks/run_bench.py [--output PATH] [--label L]
         [--suite e6|gen|gen-wide|service]
-        [--strategy sequential|sharded|bounded]
-        [--intra-jobs N] [--shard-depth D]
+        [--strategy sequential|bounded]
         [--reduction none|sleep|dpor] [--context-bound N]
 
 ``--suite gen`` runs the diy-generated two-thread suite instead of the
 curated E6 family, appending a generated-suite throughput entry to the
 same trajectory (marked ``"suite": "gen"``).
 
-``--strategy`` picks the search backend per test (entries record it
-under ``"strategy"``): ``sharded --intra-jobs N`` forks each test's own
-frontier across N workers, so multi-core boxes can finally speed up a
-*single* large exploration; on the 1-CPU reference container it measures
-the sharding overhead instead.  Sharded counters include cross-shard
-duplicate work (its ``unique_states`` sums each shard's seen set), so
-compare its ``seconds``/wall numbers, not its counts, against
-sequential entries.  Totals record ``unique_per_second`` (unique states
-over wall seconds) beside the raw rates, and the E6 line's speedup is
-a ratio of wall seconds on the same test set.
+``--strategy`` picks the search strategy per test (entries record it
+under ``"strategy"``).  Totals record ``unique_per_second`` (unique
+states over wall seconds) beside the raw rates, and the E6 line's
+speedup is a ratio of wall seconds on the same test set.
 
 ``SEED_BASELINE`` holds the seed implementation's numbers measured by the
 same protocol (one warm process, stats from inside ``explore``) on the
@@ -256,19 +249,7 @@ def main(argv=None) -> int:
         "--strategy",
         choices=sorted(STRATEGIES),
         default="sequential",
-        help="search backend per test (default sequential)",
-    )
-    parser.add_argument(
-        "--intra-jobs",
-        type=int,
-        default=None,
-        help="frontier workers per test for --strategy sharded",
-    )
-    parser.add_argument(
-        "--shard-depth",
-        type=int,
-        default=None,
-        help="frontier split depth for --strategy sharded",
+        help="search strategy per test (default sequential)",
     )
     parser.add_argument(
         "--reduction",
@@ -285,43 +266,17 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    sharded = args.strategy == "sharded"
-    if not sharded and (
-        args.intra_jobs is not None or args.shard_depth is not None
-    ):
-        print(
-            "warning: --intra-jobs/--shard-depth only apply to "
-            "--strategy sharded; ignored",
-            file=sys.stderr,
-        )
     search = SearchConfig(
         strategy=args.strategy,
         reduction=args.reduction,
         context_bound=args.context_bound,
         max_states=GEN_WIDE_MAX_STATES if args.suite == "gen-wide" else None,
-        jobs=args.intra_jobs if sharded else None,
-        shard_depth=args.shard_depth if sharded else None,
     )
-    # Record what will actually run, not the raw CLI args: resolve the
-    # worker count, and flag sharded entries that degrade to sequential
-    # (one usable CPU / no fork) so cross-machine comparisons aren't
-    # poisoned by a mislabeled backend.
     strategy_record = {"name": args.strategy}
     if args.reduction != "none":
         strategy_record["reduction"] = args.reduction
     if args.context_bound is not None:
         strategy_record["context_bound"] = args.context_bound
-    if sharded:
-        from repro.concurrency.search import ShardedParallel
-
-        # Reuse the strategy's own resolution so record and runtime
-        # cannot drift apart.
-        strategy = search.build()
-        resolved_jobs = strategy.effective_jobs()
-        strategy_record["intra_jobs"] = resolved_jobs
-        strategy_record["shard_depth"] = strategy.shard_depth
-        if resolved_jobs <= 1 or not ShardedParallel.can_fork():
-            strategy_record["effective"] = "sequential"
 
     if args.suite == "service":
         per_test, total = run_service_suite()
@@ -357,8 +312,7 @@ def main(argv=None) -> int:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "suite": args.suite,
         "strategy": strategy_record,
-        # Usable cores when the entry was recorded: wall-seconds of
-        # sharded entries are only comparable at equal core counts.
+        # Usable cores when the entry was recorded.
         "cpus": cpus,
         "per_test": per_test,
         "total": total,
@@ -376,7 +330,7 @@ def main(argv=None) -> int:
               f"(hit rate {total['cache_hit_rate']:.0%})")
     elif args.suite == "e6":
         # Wall seconds on the same test set: a transition rate would
-        # count duplicated (e.g. cross-shard) work as speed.
+        # count duplicated (e.g. sleep-set revisit) work as speed.
         baseline = trajectory[0]["total"]
         speedup = (
             baseline["seconds"] / total["seconds"]

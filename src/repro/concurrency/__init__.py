@@ -22,9 +22,7 @@ from .params import DEFAULT_PARAMS, ModelParams
 from .search import (
     BoundedIterative,
     SearchConfig,
-    SearchStrategy,
     SequentialDFS,
-    ShardedParallel,
 )
 from .storage import CoherenceViolation, StorageSubsystem
 from .system import SystemState, Transition
@@ -46,9 +44,7 @@ __all__ = [
     "ModelError",
     "ModelParams",
     "SearchConfig",
-    "SearchStrategy",
     "SequentialDFS",
-    "ShardedParallel",
     "StorageSubsystem",
     "SystemState",
     "ThreadState",

@@ -5,23 +5,22 @@ over the system-state transition graph.  Final states are summarised as
 *outcomes* -- per-thread final register values plus possible final memory
 values (one outcome per linearisation of residual coherence freedom).
 
-This module is now a thin facade over the pluggable search subsystem
+This module is now a thin facade over the search subsystem
 (``repro.concurrency.search``): the historical ``explore`` and
-``find_witness`` entry points delegate to a ``SearchStrategy`` backend
-(``SequentialDFS`` by default, which is bit-identical -- states visited,
-transitions taken, outcomes -- to the pre-refactor loops).  Pass a built
-``strategy`` to search differently: ``ShardedParallel`` forks the
-frontier across worker processes inside a single test,
-``BoundedIterative`` trades completeness for a bounded, flagged partial
-result, and any backend's ``reduction``/``context_bound`` fields turn
-on the pruning layer.  ``SearchConfig.build()`` makes one from settings.
+``find_witness`` entry points delegate to a strategy (``SequentialDFS``
+by default, which is bit-identical -- states visited, transitions
+taken, outcomes -- to the pre-refactor loops).  Pass a built
+``strategy`` to search differently: ``BoundedIterative`` returns a
+flagged partial result instead of raising when the budget runs out,
+and either strategy's ``reduction``/``context_bound`` fields turn on
+the pruning layer.  ``SearchConfig.build()`` makes one from settings.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Tuple
 
-from .search import SearchStrategy, SequentialDFS
+from .search import SequentialDFS
 from .search.core import (  # noqa: F401  (re-exported compatibility surface)
     ExplorationLimit,
     ExplorationResult,
@@ -41,7 +40,7 @@ def explore(
     memory_cells: Iterable[Tuple[int, int]] = (),
     max_states: Optional[int] = None,
     collect_deadlocks: bool = False,
-    strategy: SearchStrategy = SequentialDFS(),
+    strategy: SequentialDFS = SequentialDFS(),
 ) -> ExplorationResult:
     """Exhaustively enumerate all reachable final states.
 
@@ -63,7 +62,7 @@ def find_witness(
     predicate,
     memory_cells: Iterable[Tuple[int, int]] = (),
     max_states: Optional[int] = None,
-    strategy: SearchStrategy = SequentialDFS(),
+    strategy: SequentialDFS = SequentialDFS(),
 ) -> Optional[Witness]:
     """Search for one execution whose outcome satisfies ``predicate``.
 

@@ -1,33 +1,28 @@
-"""Pluggable search strategies for the exhaustive oracle.
+"""Search strategies for the exhaustive oracle.
 
 The oracle's two questions -- all reachable outcomes, or one witnessing
-execution -- are answered by interchangeable ``SearchStrategy``
-backends over a single unified DFS driver (``core.run_search``):
+execution -- are answered by one in-process depth-first search over a
+single unified driver (``core.run_search``), in two flavours:
 
-* ``SequentialDFS`` -- the reference single-process engine,
-  bit-identical to the historical ``explore``/``find_witness``;
-* ``ShardedParallel`` -- intra-test multiprocessing: the frontier is
-  split at a configurable depth into subtree shards owned by forked
-  workers (stable key-digest partitioning), outcome sets and stats
-  merged on join;
-* ``BoundedIterative`` -- growing-state-budget iterative deepening that
-  returns partial outcome sets flagged ``complete=False`` instead of
-  raising ``ExplorationLimit`` mid-search.
+* ``SequentialDFS`` -- the reference engine, bit-identical to the
+  historical ``explore``/``find_witness``; budget exhaustion raises
+  ``ExplorationLimit``;
+* ``BoundedIterative`` -- the same single pass, but budget exhaustion
+  returns the partial outcome set flagged ``complete=False`` instead of
+  raising.
 
-Every backend accepts ``reduction``/``context_bound`` (see
-``reduction``): sleep-set partial-order reduction preserves the outcome
-envelope while pruning commuting interleavings; a context bound trades
-completeness (reported via ``ExplorationResult.complete``) for a
-drastically smaller search.  ``reduction="dpor"`` (see ``dpor``) layers
-source sets and a canonical state-key quotient on top of sleep sets
-(sharded backends run the sleep-set projection; see ``sharded``).
+Both accept ``reduction``/``context_bound`` (see ``reduction``):
+sleep-set partial-order reduction preserves the outcome envelope while
+pruning commuting interleavings; a context bound trades completeness
+(reported via ``ExplorationResult.complete``) for a drastically smaller
+search.  ``reduction="dpor"`` (see ``dpor``) layers source sets and a
+canonical state-key quotient on top of sleep sets.
 
 ``SearchConfig`` is the one value that carries a query's search
-settings -- strategy name, reduction, context bound, state budget and
-the sharded backend's ``jobs``/``shard_depth`` -- from a CLI flag or a
-daemon JSON ``options`` object down to ``SearchConfig.build()``, the
-only place a strategy is constructed from settings; the service cache
-key is derived from the same value.
+settings -- strategy name, reduction, context bound and state budget --
+from a CLI flag or a daemon JSON ``options`` object down to
+``SearchConfig.build()``, the only place a strategy is constructed from
+settings; the service cache key is derived from the same value.
 """
 
 from __future__ import annotations
@@ -35,7 +30,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional, Type
 
-from .base import SearchStrategy
 from .bounded import BoundedIterative
 from .core import (
     ExplorationLimit,
@@ -46,40 +40,30 @@ from .core import (
     Witness,
     outcome_of,
     registers_of_interest,
-    replay_index_path,
     run_search,
 )
 from .reduction import REDUCTIONS, Reducer, make_reducer
 from .sequential import SequentialDFS
-from .sharded import ShardedParallel
 
-#: Name -> class registry for the CLI and corpus-worker protocol.
-STRATEGIES: Dict[str, Type[SearchStrategy]] = {
+#: Name -> class registry behind ``SearchConfig`` and the CLI choices.
+STRATEGIES: Dict[str, Type[SequentialDFS]] = {
     SequentialDFS.name: SequentialDFS,
-    ShardedParallel.name: ShardedParallel,
     BoundedIterative.name: BoundedIterative,
 }
 
 
 #: Smallest accepted value of each numeric ``SearchConfig`` field.
-_LEAST = {"max_states": 1, "context_bound": 0, "jobs": 1, "shard_depth": 0}
+_LEAST = {"max_states": 1, "context_bound": 0}
 
 
 @dataclasses.dataclass(frozen=True)
 class SearchConfig:
-    """Every search setting of one oracle query, validated on creation.
-
-    ``jobs`` and ``shard_depth`` tune only the sharded backend (other
-    strategies ignore them) and never change an outcome set, so the
-    cache key leaves them out (``service.cache.cache_key``).
-    """
+    """Every search setting of one oracle query, validated on creation."""
 
     strategy: str = SequentialDFS.name
     reduction: str = "none"
     context_bound: Optional[int] = None
     max_states: Optional[int] = None
-    jobs: Optional[int] = None
-    shard_depth: Optional[int] = None
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -121,17 +105,11 @@ class SearchConfig:
             if getattr(self, f.name) != f.default
         }
 
-    def build(self) -> SearchStrategy:
+    def build(self) -> SequentialDFS:
         """The strategy these settings select (budget passed separately)."""
-        options = {
-            "reduction": self.reduction,
-            "context_bound": self.context_bound,
-        }
-        if self.strategy == ShardedParallel.name:
-            options["jobs"] = self.jobs
-            if self.shard_depth is not None:
-                options["shard_depth"] = self.shard_depth
-        return STRATEGIES[self.strategy](**options)
+        return STRATEGIES[self.strategy](
+            reduction=self.reduction, context_bound=self.context_bound
+        )
 
 
 __all__ = [
@@ -145,13 +123,10 @@ __all__ = [
     "Reducer",
     "STRATEGIES",
     "SearchConfig",
-    "SearchStrategy",
     "SequentialDFS",
-    "ShardedParallel",
     "Witness",
     "make_reducer",
     "outcome_of",
     "registers_of_interest",
-    "replay_index_path",
     "run_search",
 ]

@@ -1,17 +1,16 @@
-"""Shared machinery of the pluggable search subsystem.
+"""Shared machinery of the search subsystem.
 
 The exhaustive oracle used to live as two near-identical ~50-line DFS
 loops in ``concurrency/exhaustive.py`` (``explore`` and ``find_witness``).
-This module is the single search driver both modes -- and every strategy
-backend -- now run on:
+This module is the single search driver both modes now run on:
 
   * ``Frontier`` -- DFS stack + seen-set bookkeeping with state-budget
-    accounting (optionally over a caller-owned seen set, which the
-    sharded backend uses to share one dedup set across subtree roots);
+    accounting (optionally over a caller-owned seen set, whose size
+    the strategy reports as ``unique_states``);
   * ``run_search`` -- the unified loop, parameterised by a *visitor*
     (``CollectOutcomes`` for explore, ``StopOnWitness`` for witness
     searches) and an optional payload extender (transition traces for
-    witnesses, transition-index paths for worker-side searches);
+    witnesses);
   * the result vocabulary: ``ExplorationStats`` / ``ExplorationResult``
     (now with an explicit ``complete`` flag for budget-bounded partial
     results), ``Witness``, ``ExplorationLimit`` (now carrying the
@@ -20,7 +19,7 @@ backend -- now run on:
 
 The sequential strategy drives this loop directly and is bit-identical
 -- states visited, transitions taken, outcomes -- to the pre-refactor
-engine; the other backends recompose the same pieces.
+engine.
 """
 
 from __future__ import annotations
@@ -67,10 +66,10 @@ class ExplorationStats:
     max_frontier: int = 0
     seconds: float = 0.0
     #: Distinct state keys deduplicated against (seen-set sizes, merged).
-    #: ``states_visited`` measures work *done* -- for sharded searches it
-    #: folds in cross-partition duplicate exploration -- while this
-    #: counts states *covered*; benchmarks record both so throughput
-    #: entries stop conflating the two.
+    #: ``states_visited`` measures work *done* -- under sleep sets it
+    #: counts partial revisits of a stored state -- while this counts
+    #: states *covered*; benchmarks record both so throughput entries
+    #: stop conflating the two.
     unique_states: int = 0
 
     def merge(self, other: "ExplorationStats") -> None:
@@ -129,8 +128,8 @@ class Frontier:
     carry no payload, witness searches carry the transition path.
     Popping counts a visited state against the budget; pushing applies a
     transition, counts it, and deduplicates the successor against the
-    seen keys.  ``seen`` lets a caller share one dedup set across
-    several searches (the sharded backend's per-worker partition).
+    seen keys.  ``seen`` lets the caller own the dedup set (and read
+    its size afterwards).
     """
 
     def __init__(self, initial: SystemState, payload, limit: int,
@@ -238,11 +237,10 @@ class CollectOutcomes:
     """Explore-mode visitor: accumulate every final state's outcomes."""
 
     def __init__(self, cells: Tuple[Tuple[int, int], ...],
-                 collect_deadlocks: bool = False,
-                 static_cache: Optional[Dict] = None):
+                 collect_deadlocks: bool = False):
         self.cells = cells
         self.collect_deadlocks = collect_deadlocks
-        self.static_cache = static_cache if static_cache is not None else {}
+        self.static_cache: Dict[int, FrozenSet[str]] = {}
         self.outcomes: Set[Outcome] = set()
         self.deadlock_states: List[SystemState] = []
 
@@ -258,11 +256,10 @@ class CollectOutcomes:
 class StopOnWitness:
     """Witness-mode visitor: stop at the first satisfying final state."""
 
-    def __init__(self, predicate, cells: Tuple[Tuple[int, int], ...],
-                 static_cache: Optional[Dict] = None):
+    def __init__(self, predicate, cells: Tuple[Tuple[int, int], ...]):
         self.predicate = predicate
         self.cells = cells
-        self.static_cache = static_cache if static_cache is not None else {}
+        self.static_cache: Dict[int, FrozenSet[str]] = {}
 
     def on_final(self, state: SystemState, payload):
         for outcome in outcome_of(state, self.cells, self.static_cache):
@@ -274,16 +271,9 @@ class StopOnWitness:
         pass
 
 
-#: Payload extender building a transition trace (sequential witnesses).
-def extend_trace(path, transition, _index):
+#: Payload extender building a transition trace (witness searches).
+def extend_trace(path, transition):
     return path + (transition,)
-
-
-#: Payload extender building a transition-*index* path -- picklable, and
-#: deterministically replayable because transition enumeration is a pure
-#: function of the state (the sharded backend ships these across workers).
-def extend_index_path(path, _transition, index):
-    return path + (index,)
 
 
 def run_search(
@@ -298,8 +288,6 @@ def run_search(
     seen: Optional[Set] = None,
     reducer=None,
     canon=None,
-    sleep_seed: FrozenSet[Transition] = frozenset(),
-    context_seed: Tuple[Optional[int], int] = (None, 0),
 ):
     """The unified DFS loop behind every search mode.
 
@@ -313,15 +301,16 @@ def run_search(
 
     A non-``None`` ``reducer`` (``reduction.Reducer``) switches to the
     pruning loop: sleep-set partial-order reduction and/or context
-    bounding.  ``sleep_seed``/``context_seed`` seed the root's pruning
-    state (the sharded backend resumes worker subtrees mid-path); with
-    sleep sets on, ``seen`` must be (and defaults to) a dict mapping
-    state key to its stored sleep set instead of a plain set.
+    bounding.  With sleep sets on, ``seen`` must be (and defaults to) a
+    dict mapping state key to its stored sleep set instead of a plain
+    set.
 
     A reducer with ``dpor`` set additionally requires ``canon`` (a
     ``symmetry.CanonicalKeys``) and dispatches to the source-DPOR loop
     in ``dpor.py``; its ``seen`` maps *canonical* keys to per-state
-    coverage entries and must be private to one search.
+    coverage entries and must be private to one search.  The dpor loop
+    collects outcomes only (no payloads): witness searches run dpor as
+    sleep sets.
     """
     if reducer is not None and reducer.dpor:
         from .dpor import run_dpor
@@ -329,15 +318,13 @@ def run_search(
         return run_dpor(
             initial, visitor, limit=limit, stats=stats,
             strict_deadlocks=strict_deadlocks, reducer=reducer,
-            canon=canon, payload=payload, extend=extend, seen=seen,
-            sleep_seed=sleep_seed, context_seed=context_seed,
+            canon=canon, seen=seen,
         )
     if reducer is not None:
         return _run_reduced(
             initial, visitor, limit=limit, stats=stats,
             strict_deadlocks=strict_deadlocks, payload=payload,
             extend=extend, seen=seen, reducer=reducer,
-            sleep_seed=sleep_seed, context_seed=context_seed,
         )
     frontier = Frontier(initial, payload, limit, stats, seen=seen)
     while frontier:
@@ -370,8 +357,8 @@ def run_search(
             for transition in transitions:
                 frontier.push(state, transition, None)
         else:
-            for index, transition in enumerate(transitions):
-                frontier.push(state, transition, extend(path, transition, index))
+            for transition in transitions:
+                frontier.push(state, transition, extend(path, transition))
     return None
 
 
@@ -412,8 +399,6 @@ def _run_reduced(
     extend: Optional[Callable],
     seen,
     reducer,
-    sleep_seed: FrozenSet[Transition],
-    context_seed: Tuple[Optional[int], int],
 ):
     """``run_search`` with sleep-set pruning and/or a context bound.
 
@@ -422,20 +407,16 @@ def _run_reduced(
     cross-strategy equivalence tests pin the observable agreement of the
     two loops.  See ``reduction`` for the pruning theory; the state/
     final/deadlock handling mirrors the plain loop exactly.
-
-    The root is always explored fully (never pruned against ``seen``):
-    callers resume worker subtrees from roots whose keys the shared
-    prefix seen-structure already records.  Exploring a superset of the
-    stored difference is always sound -- the stored set only shrinks.
     """
     sleep_on = reducer.sleep
     if seen is None:
         seen = {} if sleep_on else set()
+    root_sleep: FrozenSet[Transition] = frozenset()
     if sleep_on:
-        visit_sleep(seen, initial.key(), sleep_seed)
+        visit_sleep(seen, initial.key(), root_sleep)
     else:
         seen.add(initial.key())
-    stack = [(initial, payload, sleep_seed, context_seed, None)]
+    stack = [(initial, payload, root_sleep, (None, 0), None)]
     while stack:
         stats.max_frontier = max(stats.max_frontier, len(stack))
         if stats.states_visited >= limit:
@@ -464,7 +445,7 @@ def _run_reduced(
                 )
             continue
         explored: List[Transition] = []
-        for index, transition in enumerate(transitions):
+        for transition in transitions:
             if sleep_on:
                 if wake is not None and transition not in wake:
                     # A revisit: everything outside the woken difference
@@ -500,27 +481,10 @@ def _run_reduced(
                 child_wake = None
             stack.append((
                 successor,
-                extend(path, transition, index) if extend else None,
+                extend(path, transition) if extend else None,
                 child_sleep,
                 reducer.advance_context(context, transition),
                 child_wake,
             ))
     return None
 
-
-def replay_index_path(
-    initial: SystemState, indexes: Iterable[int]
-) -> Tuple[List[Transition], SystemState]:
-    """Rebuild the transition trace behind a transition-index path.
-
-    Enumeration order is deterministic, so replaying the indexes from the
-    same initial state reproduces the worker's exact trace.
-    """
-    trace: List[Transition] = []
-    state = initial
-    for index in indexes:
-        transitions = state.enumerate_transitions()
-        transition = transitions[index]
-        trace.append(transition)
-        state = state.apply(transition)
-    return trace, state

@@ -58,7 +58,7 @@ pruning the sparse-conflict shapes.
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional
 
 from ..symmetry import OUT_OF_CELLS, CanonicalKeys
 from ..events import INITIAL_TID
@@ -201,15 +201,14 @@ class _Frame:
     """One state on the current DFS path."""
 
     __slots__ = (
-        "state", "payload", "sleep", "context", "transitions", "backtrack",
+        "state", "sleep", "context", "transitions", "backtrack",
         "explored", "explored_set", "covered", "saturated", "entry",
         "blob", "taken_abs", "hb_taken",
     )
 
-    def __init__(self, state, payload, sleep, context, transitions,
-                 entry, backtrack):
+    def __init__(self, state, sleep, context, transitions, entry,
+                 backtrack):
         self.state = state
-        self.payload = payload
         self.sleep = sleep
         self.context = context
         self.transitions = transitions
@@ -238,11 +237,7 @@ def run_dpor(
     strict_deadlocks: bool,
     reducer: Reducer,
     canon: CanonicalKeys,
-    payload=None,
-    extend: Optional[Callable] = None,
     seen=None,
-    sleep_seed: FrozenSet[Transition] = frozenset(),
-    context_seed: Tuple[Optional[int], int] = (None, 0),
 ):
     """The source-DPOR loop (see the module docstring).
 
@@ -437,20 +432,17 @@ def run_dpor(
             bcomplete,
         )
 
-    def complete_final(state: SystemState, child_payload):
+    def complete_final(state: SystemState):
         """Deterministic storage playout to some reachable final."""
         steps = 0
         while not state.is_final():
             transitions = prune_props(state, state.enumerate_transitions())
             if not transitions or steps > 100_000:
                 return None
-            chosen = transitions[0]
-            if extend:
-                child_payload = extend(child_payload, chosen, 0)
-            state = state.apply(chosen)
+            state = state.apply(transitions[0])
             stats.transitions_taken += 1
             steps += 1
-        return state, child_payload
+        return state
 
     def thread_done(state: SystemState, tid: int) -> bool:
         thread = state.threads[tid]
@@ -635,15 +627,14 @@ def run_dpor(
             return transition
         return None
 
-    def push(state, child_payload, sleep, context, transitions,
-             entry, backtrack) -> None:
+    def push(state, sleep, context, transitions, entry,
+             backtrack) -> None:
         frames.append(_Frame(
-            state, child_payload, sleep, context, transitions, entry,
-            backtrack,
+            state, sleep, context, transitions, entry, backtrack,
         ))
         stats.max_frontier = max(stats.max_frontier, len(frames))
 
-    def arrive(state, child_payload, sleep, context):
+    def arrive(state, sleep, context):
         """Handle one reached state; returns a visitor result or None."""
         ckey = canon.canonical(state)
         entry = seen.get(ckey)
@@ -673,15 +664,14 @@ def run_dpor(
             if not need:
                 return None
             count_visit()
-            push(state, child_payload, sleep, context, transitions, entry,
-                 {need[0]})
+            push(state, sleep, context, transitions, entry, {need[0]})
             return None
         count_visit()
         entry = [set(), _EMPTY_BLOB, False]
         seen[ckey] = entry
         if state.is_final():
             stats.final_states += 1
-            return visitor.on_final(state, child_payload)
+            return visitor.on_final(state, None)
         transitions = prune_props(state, state.enumerate_transitions())
         if not transitions:
             if state.threads_finished():
@@ -695,7 +685,7 @@ def run_dpor(
                 )
             return None
         if final_cut and outcome_frozen(state):
-            done = complete_final(state, child_payload)
+            done = complete_final(state)
             if done is not None:
                 blob = endgame_blob(state)
                 replay_blob(blob, len(frames))
@@ -704,17 +694,16 @@ def run_dpor(
                 entry[1] = blob
                 entry[2] = True
                 stats.final_states += 1
-                return visitor.on_final(done[0], done[1])
+                return visitor.on_final(done, None)
             # Frozen but cp-stuck along the deterministic playout:
             # explore normally (sound either way; outcomes, if any,
             # are still the determined one).
         awake = [t for t in transitions if t not in sleep]
         backtrack = {awake[0]} if awake else set()
-        push(state, child_payload, sleep, context, transitions, entry,
-             backtrack)
+        push(state, sleep, context, transitions, entry, backtrack)
         return None
 
-    found = arrive(initial, payload, sleep_seed, context_seed)
+    found = arrive(initial, frozenset(), (None, 0))
     if found is not None:
         return found
     while frames:
@@ -782,10 +771,8 @@ def run_dpor(
                         and sibling not in frame.sleep
                     ):
                         frame.backtrack.add(sibling)
-        index = frame.transitions.index(transition) if extend else 0
         found = arrive(
             successor,
-            extend(frame.payload, transition, index) if extend else None,
             child_sleep,
             reducer.advance_context(frame.context, transition),
         )

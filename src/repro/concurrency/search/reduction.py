@@ -156,9 +156,8 @@ def _tail_cp_blocker(state: SystemState, target: int) -> bool:
 class Reducer:
     """Per-search pruning engine: sleep sets and/or a context bound.
 
-    One instance lives for the duration of one ``run_search`` (or one
-    sharded prefix-plus-worker search); it carries the mutable pruning
-    state the frozen strategy dataclasses cannot: memo tables and the
+    One instance lives for the duration of one ``run_search``; it
+    carries the mutable pruning state the frozen strategy dataclasses cannot: memo tables and the
     ``truncated`` flag that downgrades results to ``complete=False``.
     """
 

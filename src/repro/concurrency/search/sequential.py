@@ -1,4 +1,4 @@
-"""The reference backend: single-process depth-first search.
+"""The search strategy: single-process depth-first search.
 
 ``SequentialDFS`` is the pre-refactor engine re-expressed over the
 unified driver: states visited, transitions taken, final states,
@@ -13,15 +13,20 @@ outcome envelope; a context bound may truncate it, which the result
 reports as ``complete=False`` (and ``find_witness`` keeps loud by
 raising ``ExplorationLimit`` instead of returning an unsupported
 ``None``).
+
+Strategies are small frozen dataclasses, so they are picklable (corpus
+workers receive them by value) and hashable.  ``partial_on_limit``
+selects what budget exhaustion means for ``explore``: raise
+``ExplorationLimit`` here, return the partial outcome set flagged
+``complete=False`` in ``BoundedIterative``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import ClassVar, Iterable, Optional, Tuple
 
-from .base import SearchStrategy
 from .core import (
     CollectOutcomes,
     ExplorationLimit,
@@ -38,13 +43,23 @@ from ..system import SystemState
 
 
 @dataclass(frozen=True)
-class SequentialDFS(SearchStrategy):
-    """Memoised in-process DFS -- the baseline every backend must match."""
+class SequentialDFS:
+    """Memoised in-process DFS over one test's system-state graph."""
 
     reduction: str = "none"
     context_bound: Optional[int] = None
 
-    name = "sequential"
+    #: Registry / CLI name of the strategy.
+    name: ClassVar[str] = "sequential"
+    #: On budget exhaustion, ``explore`` returns the partial outcome set
+    #: with ``complete=False`` instead of raising ``ExplorationLimit``.
+    partial_on_limit: ClassVar[bool] = False
+
+    @staticmethod
+    def resolve_limit(initial: SystemState, max_states: Optional[int]) -> int:
+        return (
+            max_states if max_states is not None else initial.params.max_states
+        )
 
     def explore(
         self,
@@ -70,6 +85,13 @@ class SequentialDFS(SearchStrategy):
                 strict_deadlocks=True, seen=seen, reducer=reducer,
                 canon=canon,
             )
+            complete = reducer is None or not reducer.truncated
+        except ExplorationLimit:
+            if not self.partial_on_limit:
+                raise
+            # The outcomes found so far are genuinely reachable: a sound
+            # under-approximation of the envelope.
+            complete = False
         finally:
             # Also on ExplorationLimit: the exception carries this same
             # stats object, and its partial work must not report zero
@@ -78,10 +100,7 @@ class SequentialDFS(SearchStrategy):
             stats.seconds = time.perf_counter() - started
             stats.unique_states = len(seen)
         return ExplorationResult(
-            visitor.outcomes,
-            stats,
-            visitor.deadlock_states,
-            complete=reducer is None or not reducer.truncated,
+            visitor.outcomes, stats, visitor.deadlock_states, complete
         )
 
     def find_witness(

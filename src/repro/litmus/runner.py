@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..concurrency.exhaustive import ExplorationResult
 from ..concurrency.params import DEFAULT_PARAMS, ModelParams
-from ..concurrency.search import SearchStrategy, SequentialDFS
+from ..concurrency.search import SequentialDFS
 from ..concurrency.system import SystemState
 from ..isa.assembler import Assembler
 from ..isa.model import IsaModel, default_model
@@ -169,14 +169,14 @@ def run_litmus(
     model: Optional[IsaModel] = None,
     params: ModelParams = DEFAULT_PARAMS,
     max_states: Optional[int] = None,
-    strategy: SearchStrategy = SequentialDFS(),
+    strategy: SequentialDFS = SequentialDFS(),
 ) -> LitmusResult:
     """Exhaustively run one litmus test and evaluate its condition.
 
-    ``strategy`` is the search backend -- e.g. ``ShardedParallel(jobs=4)``
-    forks the test's own frontier across worker processes, and
+    ``strategy`` is the search strategy -- e.g.
     ``SequentialDFS(reduction="dpor")`` prunes with source-DPOR.  A
-    context bound may truncate the outcome set, reported through
+    context bound (or ``BoundedIterative`` running out of budget) may
+    truncate the outcome set, reported through
     ``exploration.complete`` / the ``StateLimit`` status.
     """
     model = model if model is not None else default_model()
@@ -222,17 +222,15 @@ def run_corpus(
     jobs: Optional[int] = None,
     params: ModelParams = DEFAULT_PARAMS,
     max_states: Optional[int] = None,
-    strategy: SearchStrategy = SequentialDFS(),
+    strategy: SequentialDFS = SequentialDFS(),
 ):
     """Exhaustively run a corpus of litmus tests across worker processes.
 
     ``entries`` may hold ``CorpusEntry``-like objects (anything with
     ``name``/``source`` attributes) or plain ``(name, source)`` pairs;
-    ``None`` runs the built-in corpus.  ``jobs`` is the total worker
-    budget (default: usable CPU count), split between per-test sharding
-    and -- for a single test with a ``ShardedParallel`` strategy --
-    intra-test frontier workers; ``strategy`` picks each test's search
-    backend.  Returns a ``repro.concurrency.parallel.CorpusReport`` with
+    ``None`` runs the built-in corpus.  ``jobs`` is the worker budget
+    (default: usable CPU count), at most one worker per test;
+    ``strategy`` picks each test's search strategy.  Returns a ``repro.concurrency.parallel.CorpusReport`` with
     per-test verdicts and merged ``ExplorationStats``.
     """
     from ..concurrency.parallel import explore_corpus

@@ -15,10 +15,9 @@ Cache key
   which is a fixed point of parse-then-emit, so formatting differences
   (whitespace, instruction-column alignment, condition parenthesisation)
   never split cache entries;
-* the ``SearchConfig`` fields that can change a verdict -- strategy
-  name, reduction, context bound, state budget (not the sharded
-  backend's ``jobs``/``shard_depth``) -- and the model-parameter
-  fingerprint (``ModelParams``);
+* every ``SearchConfig`` field -- strategy name, reduction, context
+  bound, state budget -- and the model-parameter fingerprint
+  (``ModelParams``);
 * ``SCHEMA_VERSION`` -- bumped whenever exploration *semantics* change
   (new transitions, changed reduction soundness argument, verdict
   vocabulary), which invalidates every stale entry at once.

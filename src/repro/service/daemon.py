@@ -6,8 +6,7 @@ front of one ``EnvelopeEngine`` with a persistent ``VerdictCache``:
 * ``POST /v1/jobs`` submits a batch -- litmus sources and/or a generator
   spec -- onto an async job queue; a background scheduler thread drains
   the queue, running each batch through ``EnvelopeEngine.run_batch``
-  (which fans cache misses across worker processes under the
-  ``plan_worker_budget`` policy);
+  (which fans cache misses across worker processes, one per test);
 * ``GET /v1/jobs/<id>`` polls status, ``GET /v1/jobs/<id>/results``
   fetches the verdicts once done;
 * ``POST /v1/query`` answers one test synchronously (a cache hit
@@ -45,6 +44,12 @@ DEFAULT_PORT = 8765
 #: ``Content-Length`` is refused with 413 before any of it is read.
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
+#: Largest generated suite one ``gen`` spec may ask for.
+MAX_GEN_SIZE = 1000
+
+#: The fields of a ``gen`` spec and their defaults.
+_GEN_DEFAULTS = {"seed": 0, "size": 20, "max_threads": 4, "max_run": 2}
+
 
 class BadRequest(Exception):
     """A request body the daemon refuses: HTTP ``status`` plus a message.
@@ -64,6 +69,35 @@ def _json_object(value: Any, what: str) -> Dict[str, Any]:
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object")
     return value
+
+
+def _generated_tests(gen: Any) -> list:
+    """The suite a ``gen`` spec describes, or ``ValueError`` refusing it."""
+    from ..litmus.diy import generate
+
+    gen = _json_object(gen, '"gen"')
+    unknown = set(gen) - set(_GEN_DEFAULTS)
+    if unknown:
+        raise ValueError(f"unknown gen fields: {sorted(unknown)}")
+    spec = dict(_GEN_DEFAULTS, **gen)
+    for name, value in spec.items():
+        # ``bool`` is an ``int`` subclass: ``true`` would run as 1.
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"gen {name} must be an integer, not {value!r}")
+    if not 1 <= spec["size"] <= MAX_GEN_SIZE:
+        raise ValueError(
+            f"gen size must be between 1 and {MAX_GEN_SIZE}, "
+            f"not {spec['size']}"
+        )
+    try:
+        return generate(
+            spec["seed"],
+            spec["size"],
+            max_threads=spec["max_threads"],
+            max_run=spec["max_run"],
+        )
+    except RuntimeError as exc:  # the caps admit too few distinct shapes
+        raise ValueError(f"gen spec cannot be satisfied: {exc}") from None
 
 
 @dataclass
@@ -207,17 +241,9 @@ class ServiceDaemon:
             )
         gen = body.get("gen")
         if gen:
-            from ..litmus.diy import generate
-
-            gen = _json_object(gen, '"gen"')
-            tests = generate(
-                int(gen.get("seed", 0)),
-                int(gen.get("size", 20)),
-                max_threads=int(gen.get("max_threads", 4)),
-                max_run=int(gen.get("max_run", 2)),
-            )
             requests.extend(
-                EngineRequest(test.source, test.name, search) for test in tests
+                EngineRequest(test.source, test.name, search)
+                for test in _generated_tests(gen)
             )
         return requests
 

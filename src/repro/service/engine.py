@@ -11,16 +11,16 @@ single façade, with
   ``litmus/emit.emit_litmus`` (a parse/emit fixed point), so two
   differently-formatted copies of the same test are the same query;
 * one ``concurrency.search.SearchConfig`` per request: the same value
-  carries ``--strategy``/``--shard-depth``/``--reduction``/
-  ``--context-bound``/``--max-states`` or the daemon's JSON ``options``,
-  builds the strategy that runs, and derives the cache key;
+  carries ``--strategy``/``--reduction``/``--context-bound``/
+  ``--max-states`` or the daemon's JSON ``options``, builds the
+  strategy that runs, and derives the cache key;
 * an optional persistent ``VerdictCache``: a repeated query returns the
   stored verdict in microseconds, and any parameter change (budget,
   reduction, ...) correctly misses because the parameters are
   part of the key (``service.cache.cache_key``);
 * ``run_batch`` for many requests at once, scheduling cache misses
-  through the parallel corpus runner under the ``plan_worker_budget``
-  policy -- this is the daemon's job executor.
+  through the parallel corpus runner, one worker per test -- this is
+  the daemon's job executor.
 
 Verdicts are plain data (JSON-serialisable via ``to_payload``), so the
 same object flows from the engine into the cache, over the daemon's
@@ -256,9 +256,9 @@ class EnvelopeEngine:
         """Answer many requests, fanning cache misses across workers.
 
         Misses are grouped by their ``SearchConfig`` and each group runs
-        through the parallel corpus runner, which splits the ``jobs``
-        budget between per-test and intra-test workers via
-        ``plan_worker_budget``.  Verdict order matches request order.
+        through the parallel corpus runner, which spends the ``jobs``
+        budget on at most one worker per test.  Verdict order matches
+        request order.
         """
         from ..concurrency.parallel import explore_corpus
 
@@ -312,11 +312,6 @@ class EnvelopeEngine:
 
     def _store(self, resolved: _Resolved, verdict: Verdict) -> None:
         if self.cache is None:
-            return
-        # Partial outcome sets from the sharded backend depend on worker
-        # timing; every other verdict (complete, or deterministically
-        # truncated by sequential/bounded search) is safe to memoise.
-        if not verdict.complete and resolved.search.strategy == "sharded":
             return
         self.cache.put(resolved.key, verdict.name, verdict.to_payload())
 

@@ -16,13 +16,12 @@ Modes:
 
 The oracle verbs are thin clients of the shared service engine
 (``repro.service.EnvelopeEngine``): ``run``, ``corpus``, ``litmus`` and
-``gen`` take ``--strategy {sequential,sharded,bounded}`` (plus
-``--shard-depth``) to pick the search backend; ``sharded`` forks a
-single test's frontier across worker processes (``run --jobs N``, or
-``litmus FILE --jobs N`` with one file).  All four also take
-``--reduction {none,sleep,dpor}`` (verdict-preserving partial-order
-reduction; ``dpor`` layers source sets and canonical state keys on top
-of sleep sets), ``--context-bound N`` (sound under-approximation) and
+``gen`` take ``--strategy {sequential,bounded}`` (``bounded`` reports
+a partial outcome set instead of failing when the state budget runs
+out), ``--reduction {none,sleep,dpor}`` (verdict-preserving
+partial-order reduction; ``dpor`` layers source sets and canonical
+state keys on top of sleep sets), ``--context-bound N`` (sound
+under-approximation) and
 ``--cache PATH`` (persistent verdict cache: repeated queries are
 answered in microseconds).  ``_config_from`` turns these flags (and
 ``--max-states``) into the one ``SearchConfig`` a verb hands to the
@@ -61,16 +60,9 @@ def _add_strategy_args(parser: argparse.ArgumentParser) -> None:
         "--strategy",
         choices=sorted(STRATEGIES),
         default="sequential",
-        help="search backend: sequential DFS, sharded intra-test "
-        "multiprocessing, or bounded iterative deepening "
-        "(default sequential)",
-    )
-    parser.add_argument(
-        "--shard-depth",
-        type=int,
-        default=None,
-        help="frontier split depth for --strategy sharded "
-        "(levels expanded before forking workers)",
+        help="search strategy: sequential DFS, or bounded, which "
+        "returns the partial outcome set when the state budget runs "
+        "out (default sequential)",
     )
     parser.add_argument(
         "--reduction",
@@ -94,31 +86,13 @@ def _add_strategy_args(parser: argparse.ArgumentParser) -> None:
 def _config_from(args) -> SearchConfig:
     """The one ``SearchConfig`` a verb's search flags describe.
 
-    ``--shard-depth`` and ``run --jobs`` tune only the sharded backend;
-    with another strategy they are dropped with a warning.  Raises
-    ``ValueError`` on an out-of-range value.
+    Raises ``ValueError`` on an out-of-range value.
     """
-    sharded = args.strategy == "sharded"
-    if args.shard_depth is not None and not sharded:
-        print(
-            f"warning: --shard-depth only applies to --strategy sharded; "
-            f"ignored for {args.strategy}",
-            file=sys.stderr,
-        )
-    jobs = args.jobs if args.command == "run" else None
-    if jobs is not None and not sharded:
-        print(
-            "warning: run --jobs only applies to --strategy sharded; "
-            "running single-process",
-            file=sys.stderr,
-        )
     return SearchConfig(
         strategy=args.strategy,
         reduction=args.reduction,
         context_bound=args.context_bound,
         max_states=getattr(args, "max_states", None),
-        jobs=jobs if sharded else None,
-        shard_depth=args.shard_depth if sharded else None,
     )
 
 
@@ -143,13 +117,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     run_parser = sub.add_parser("run", help="exhaustively run a litmus test")
     run_parser.add_argument("test", help="path to a .litmus file")
-    run_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="intra-test frontier workers for --strategy sharded "
-        "(default: CPU count)",
-    )
     _add_strategy_args(run_parser)
     _add_cache_arg(run_parser)
 

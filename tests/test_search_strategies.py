@@ -1,16 +1,17 @@
-"""Cross-strategy equivalence for the pluggable search subsystem.
+"""Cross-strategy equivalence for the search subsystem.
 
-Every backend must answer the oracle questions identically:
+Both strategies must answer the oracle questions identically:
 
   * ``SequentialDFS`` stays bit-identical (states visited, transitions
     taken, outcomes) to the pre-refactor engine -- pinned against the
     recorded seed-baseline counters;
-  * ``ShardedParallel`` (jobs=2) and ``BoundedIterative`` (ample budget)
-    produce verdicts and outcome sets identical to ``SequentialDFS`` for
-    the curated corpus and a seed-0 sample of generated tests;
+  * ``BoundedIterative`` (ample budget) produces verdicts and outcome
+    sets identical to ``SequentialDFS`` for the curated corpus and a
+    seed-0 sample of generated tests;
   * ``BoundedIterative`` degrades to a *flagged partial* result instead
-    of raising, and ``ExplorationLimit`` carries the partial stats so
-    budget exhaustion no longer zeroes work accounting.
+    of raising, after exactly one pass at the caller's budget, and
+    ``ExplorationLimit`` carries the partial stats so budget exhaustion
+    no longer zeroes work accounting.
 
 The heavier 3-4-thread curated shapes run under the ``slow`` marker; the
 full slow sweep is opt-in via ``PPCMEM2_SEARCH_FULL=1``.
@@ -27,7 +28,6 @@ from repro.concurrency.search import (
     BoundedIterative,
     SearchConfig,
     SequentialDFS,
-    ShardedParallel,
 )
 from repro.isa.model import default_model
 from repro.litmus.library import by_name, corpus
@@ -47,10 +47,7 @@ FAST_NAMES = sorted(e.name for e in corpus() if e.name not in SLOW)
 SLOW_SAMPLE = ["WRC+sync+addr", "2+2W+syncs", "LB+addrs+WW"]
 SLOW_FULL = sorted(SLOW - {"IRIW+syncs"})
 
-STRATEGIES = [
-    ShardedParallel(jobs=2, shard_depth=3),
-    BoundedIterative(),
-]
+STRATEGIES = [BoundedIterative()]
 
 SLEEP = SequentialDFS(reduction="sleep")
 DPOR = SequentialDFS(reduction="dpor")
@@ -134,17 +131,17 @@ class TestSequentialBitIdentity:
         system, _ = build_system(by_name("MP").parse(), model)
         default = explore(system)
         named = explore(system, strategy=SequentialDFS())
-        sharded = explore(system, strategy=ShardedParallel(jobs=2))
+        bounded = explore(system, strategy=BoundedIterative())
         assert named.outcomes == default.outcomes
         assert named.stats.states_visited == default.stats.states_visited
-        assert sharded.outcomes == default.outcomes
+        assert bounded.outcomes == default.outcomes
+        assert bounded.stats.states_visited == default.stats.states_visited
 
 
 class TestWitnessEquivalence:
     @pytest.mark.parametrize(
         "strategy",
-        [SequentialDFS(), ShardedParallel(jobs=2, shard_depth=2),
-         BoundedIterative(initial_budget=64)],
+        [SequentialDFS(), BoundedIterative()],
         ids=lambda s: s.name,
     )
     def test_witness_found_and_replayable(self, model, strategy):
@@ -163,8 +160,7 @@ class TestWitnessEquivalence:
 
     @pytest.mark.parametrize(
         "strategy",
-        [SequentialDFS(), ShardedParallel(jobs=2, shard_depth=2),
-         BoundedIterative()],
+        [SequentialDFS(), BoundedIterative()],
         ids=lambda s: s.name,
     )
     def test_unsatisfiable_predicate(self, model, strategy):
@@ -177,7 +173,7 @@ class TestBoundedDegradation:
         test = by_name("SB+syncs").parse()
         result = run_litmus(
             test, model,
-            strategy=BoundedIterative(initial_budget=64),
+            strategy=BoundedIterative(),
             max_states=200,
         )
         assert result.status == "StateLimit"
@@ -194,7 +190,7 @@ class TestBoundedDegradation:
         test = by_name("MP").parse()  # exists-test, witness found early
         result = run_litmus(
             test, model,
-            strategy=BoundedIterative(initial_budget=80),
+            strategy=BoundedIterative(),
             max_states=80,
         )
         assert not result.exploration.complete
@@ -205,7 +201,7 @@ class TestBoundedDegradation:
         test = by_name("MP").parse()
         result = run_litmus(
             test, model,
-            strategy=BoundedIterative(initial_budget=40),
+            strategy=BoundedIterative(),
             max_states=40,
         )
         assert not result.exploration.complete
@@ -218,11 +214,26 @@ class TestBoundedDegradation:
         reference = run_litmus(test, model)
         assert bounded.exploration.complete
         assert bounded.outcomes == reference.outcomes
-        # MP fits the first budget: the work accounting is identical too.
+        # One pass at the caller's budget: the work accounting is
+        # identical too.
         assert (
             bounded.exploration.stats.states_visited
             == reference.exploration.stats.states_visited
         )
+
+    def test_exhausted_budget_is_spent_in_one_pass(self, model):
+        """IRIW+addrs (~20k states) overruns the budget: the search
+        charges exactly ``max_states``, with no retraversal from a
+        smaller first budget."""
+        test = by_name("IRIW+addrs").parse()
+        result = run_litmus(
+            test, model, strategy=BoundedIterative(), max_states=5000
+        )
+        assert result.exploration.stats.states_visited == 5000
+        assert result.exploration.complete is False
+        full = run_litmus(test, model)
+        assert full.exploration.stats.states_visited > 5000
+        assert result.outcomes <= full.outcomes
 
 
 class TestBoundedWitnessSoundness:
@@ -230,28 +241,11 @@ class TestBoundedWitnessSoundness:
         """An inconclusive witness search must not look like a proof."""
         system, _ = build_system(by_name("SB+syncs").parse(), model)
         with pytest.raises(ExplorationLimit) as excinfo:
-            BoundedIterative(initial_budget=16).find_witness(
+            BoundedIterative().find_witness(
                 system, lambda outcome: False, max_states=50
             )
         assert excinfo.value.stats is not None
         assert excinfo.value.stats.states_visited > 0
-
-
-class TestShardedWorkerCrash:
-    def test_dead_worker_raises_instead_of_hanging(self, model, monkeypatch):
-        """A worker killed before reporting must fail loudly, not hang."""
-        import os as os_module
-
-        from repro.concurrency.search import sharded as sharded_module
-        from repro.concurrency.thread import ModelError
-
-        def crash(worker_id, root_indexes, mode, queue):
-            os_module._exit(17)
-
-        monkeypatch.setattr(sharded_module, "_shard_worker", crash)
-        system, _ = build_system(by_name("SB+syncs").parse(), model)
-        with pytest.raises(ModelError, match="died without reporting"):
-            ShardedParallel(jobs=2, shard_depth=3).explore(system)
 
 
 class TestPartialStatsAccounting:
@@ -294,19 +288,19 @@ class TestWorkerBudgetComposition:
         assert default_job_count() == 3
 
     def test_plan_prefers_corpus_sharding(self):
-        assert plan_worker_budget(4, 10) == (4, 1)
-        assert plan_worker_budget(4, 4) == (4, 1)
+        assert plan_worker_budget(4, 10) == 4
+        assert plan_worker_budget(4, 4) == 4
 
-    def test_plan_distributes_leftover_budget_as_intra_jobs(self):
-        # 2 tests under --jobs 8 used to strand 6 workers as (2, 1).
-        assert plan_worker_budget(8, 2) == (2, 4)
-        assert plan_worker_budget(8, 3) == (3, 2)
-        assert plan_worker_budget(3, 2) == (2, 1)  # no whole worker spare
-        assert plan_worker_budget(5, 4) == (4, 1)
+    def test_plan_caps_workers_at_test_count(self):
+        # A budget beyond one worker per test is left unused.
+        assert plan_worker_budget(8, 2) == 2
+        assert plan_worker_budget(8, 3) == 3
+        assert plan_worker_budget(3, 2) == 2
+        assert plan_worker_budget(5, 4) == 4
 
-    def test_plan_gives_single_test_the_budget(self):
-        assert plan_worker_budget(4, 1) == (1, 4)
-        assert plan_worker_budget(1, 5) == (1, 1)
+    def test_plan_runs_single_test_inline(self):
+        assert plan_worker_budget(4, 1) == 1
+        assert plan_worker_budget(1, 5) == 1
 
     def test_plan_rejects_zero_budget(self):
         with pytest.raises(ValueError):
@@ -314,54 +308,52 @@ class TestWorkerBudgetComposition:
 
     def test_plan_budget_smaller_than_corpus(self):
         # Fewer workers than tests: every worker runs tests back to
-        # back sequentially; no intra-test splitting.
-        assert plan_worker_budget(2, 5) == (2, 1)
-        assert plan_worker_budget(1, 1) == (1, 1)
-        assert plan_worker_budget(7, 100) == (7, 1)
+        # back sequentially.
+        assert plan_worker_budget(2, 5) == 2
+        assert plan_worker_budget(1, 1) == 1
+        assert plan_worker_budget(7, 100) == 7
 
     def test_plan_empty_corpus_does_not_oversubscribe(self):
-        # An empty corpus used to plan (1, budget), handing the whole
-        # budget to a pool with nothing to run.
-        assert plan_worker_budget(8, 0) == (1, 1)
-        assert plan_worker_budget(1, 0) == (1, 1)
+        # An empty corpus runs inline instead of starting a pool with
+        # nothing to run.
+        assert plan_worker_budget(8, 0) == 1
+        assert plan_worker_budget(1, 0) == 1
 
     def test_plan_never_oversubscribes_budget(self):
         for budget in range(1, 13):
             for test_count in range(0, 13):
-                corpus_jobs, intra_jobs = plan_worker_budget(
-                    budget, test_count
-                )
-                assert corpus_jobs >= 1 and intra_jobs >= 1
-                assert corpus_jobs * intra_jobs <= max(budget, 1), (
-                    budget, test_count, corpus_jobs, intra_jobs,
+                corpus_jobs = plan_worker_budget(budget, test_count)
+                assert 1 <= corpus_jobs <= budget, (budget, test_count)
+                assert corpus_jobs <= max(test_count, 1), (
+                    budget, test_count,
                 )
 
-    def test_single_test_corpus_uses_intra_test_workers(self, model):
-        # One test + jobs=2 + sharded: the budget flows to the frontier
-        # workers; verdict and outcomes still match sequential.
+    def test_single_test_corpus_runs_inline(self, model):
+        # One test + jobs=2: no pool; verdict and outcomes match a
+        # direct run.
         entry = by_name("SB+syncs")
-        report = run_corpus([entry], jobs=2, strategy=ShardedParallel())
+        report = run_corpus([entry], jobs=2)
         assert report.jobs == 1
         result = report.results[0]
         reference = run_litmus(entry.parse(), model)
         assert result.status == reference.status
         assert result.outcomes == reference.outcomes
 
-    def test_multi_test_corpus_with_sharded_strategy(self, model):
+    def test_multi_test_corpus_bounded_strategy(self, model):
         entries = [by_name("MP"), by_name("SB")]
-        report = run_corpus(entries, jobs=2, strategy=ShardedParallel())
+        report = run_corpus(entries, jobs=2, strategy=BoundedIterative())
         assert report.jobs == 2
         for result in report.results:
             reference = run_litmus(by_name(result.name).parse(), model)
+            assert result.complete
             assert result.status == reference.status
             assert result.outcomes == reference.outcomes
 
-    def test_multi_test_corpus_spends_leftover_budget_intra(self, model):
-        # 2 tests + jobs=4: the plan is (2, 2), so the corpus runs in a
-        # non-daemonic executor whose workers fork 2 frontier shards
-        # each.  Verdicts and outcome sets still match sequential.
+    def test_multi_test_corpus_one_worker_per_test(self, model):
+        # 2 tests + jobs=4: two pool workers, one per test; verdicts
+        # and outcome sets still match a direct run.
         entries = [by_name("MP"), by_name("SB+syncs")]
-        report = run_corpus(entries, jobs=4, strategy=ShardedParallel())
+        report = run_corpus(entries, jobs=4)
         assert report.jobs == 2
         for result in report.results:
             reference = run_litmus(by_name(result.name).parse(), model)
@@ -388,12 +380,12 @@ class TestStrategyResolution:
 
     def test_make_by_name_with_options(self):
         strategy = SearchConfig(
-            strategy="sharded", jobs=4, shard_depth=5
+            strategy="bounded", reduction="sleep", context_bound=2
         ).build()
-        assert strategy == ShardedParallel(jobs=4, shard_depth=5)
+        assert strategy == BoundedIterative(reduction="sleep", context_bound=2)
         assert SearchConfig(strategy="bounded").build() == BoundedIterative()
-        # The sharding knobs tune only the sharded backend.
-        assert SearchConfig(jobs=4, shard_depth=1).build() == SequentialDFS()
+        # Equal fields, different strategies: never interchangeable.
+        assert BoundedIterative() != SequentialDFS()
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown search strategy"):
@@ -404,8 +396,7 @@ class TestStrategyResolution:
     def test_strategies_are_picklable(self):
         import pickle
 
-        for strategy in (SequentialDFS(), ShardedParallel(jobs=2),
-                         BoundedIterative(initial_budget=128)):
+        for strategy in (SequentialDFS(), BoundedIterative(reduction="dpor")):
             clone = pickle.loads(pickle.dumps(strategy))
             assert clone == strategy
 
@@ -413,7 +404,9 @@ class TestStrategyResolution:
 class TestSearchConfig:
     """The one carrier of a query's search settings validates itself."""
 
-    # Names and ``max_states`` are covered over HTTP in test_service.py.
+    # Names and ``max_states`` are covered over HTTP in test_service.py;
+    # ``jobs``/``shard_depth`` are no longer fields, so any value of
+    # them is refused as an unknown option.
     @pytest.mark.parametrize("options", [
         {"context_bound": -1}, {"context_bound": 1.5}, {"jobs": 0},
         {"jobs": False}, {"shard_depth": -1}, {"shard_depth": "3"},
@@ -424,13 +417,13 @@ class TestSearchConfig:
 
     def test_options_round_trip(self):
         config = SearchConfig(
-            strategy="sharded", reduction="dpor", context_bound=0,
-            max_states=1, jobs=1, shard_depth=0,
+            strategy="bounded", reduction="dpor", context_bound=0,
+            max_states=1,
         )
         assert SearchConfig.from_options(config.to_options()) == config
         assert SearchConfig().to_options() == {}
 
-    @pytest.mark.parametrize("name", ["sequential", "sharded", "bounded"])
+    @pytest.mark.parametrize("name", ["sequential", "bounded"])
     def test_build_carries_pruning_options(self, name):
         strategy = SearchConfig(
             strategy=name, reduction="dpor", context_bound=2
@@ -442,7 +435,7 @@ class TestSearchConfig:
 class TestReductionEquivalence:
     """Sleep-set reduction preserves the verdict and the outcome set.
 
-    The matrix crosses reduction on/off with every backend: outcome
+    The matrix crosses reduction on/off with both strategies: outcome
     sets must be bit-identical to unreduced ``SequentialDFS`` on the
     curated corpus and a seed-0 generated sample.
     """
@@ -459,8 +452,7 @@ class TestReductionEquivalence:
 
     @pytest.mark.parametrize(
         "strategy",
-        [SequentialDFS(), ShardedParallel(jobs=2, shard_depth=3),
-         BoundedIterative()],
+        [SequentialDFS(), BoundedIterative()],
         ids=lambda s: s.name,
     )
     def test_strategy_matrix(self, model, strategy):
@@ -515,11 +507,7 @@ class TestDporEquivalence:
 
     ``reduction="dpor"`` must answer every oracle question identically
     to the unreduced reference on the curated corpus and a seed-0
-    generated sample, for both backends that run the real driver
-    (``SequentialDFS`` and ``BoundedIterative``).  ``ShardedParallel``
-    accepts the option but runs its forked pipeline as sleep sets
-    (see ``ShardedParallel._shard_reduction``), so it is checked for
-    acceptance + equivalence, not for dpor state counts.
+    generated sample, for both strategies.
     """
 
     @pytest.mark.parametrize("name", FAST_NAMES)
@@ -534,8 +522,7 @@ class TestDporEquivalence:
 
     @pytest.mark.parametrize(
         "strategy",
-        [SequentialDFS(), BoundedIterative(),
-         ShardedParallel(jobs=2, shard_depth=3)],
+        [SequentialDFS(), BoundedIterative()],
         ids=lambda s: s.name,
     )
     def test_strategy_matrix(self, model, strategy):
@@ -630,58 +617,18 @@ class TestContextBound:
         assert bounded.outcomes == full.outcomes
 
 
-class TestStablePartitioning:
-    """Root-to-worker assignment must not depend on PYTHONHASHSEED."""
-
-    _SCRIPT = """
-import sys
-sys.path.insert(0, {src!r})
-from repro.concurrency.search.sharded import _stable_digest
-from repro.isa.model import default_model
-from repro.litmus.library import by_name
-from repro.litmus.runner import build_system
-system, _ = build_system(by_name("MP").parse(), default_model())
-digests = [_stable_digest(system.key())]
-for transition in system.enumerate_transitions():
-    digests.append(_stable_digest(system.apply(transition).key()))
-print(",".join(str(d) for d in digests))
-"""
-
-    def test_digests_identical_across_hash_seeds(self, tmp_path):
-        import subprocess
-        import sys as sys_module
-
-        src = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            "src",
-        )
-        script = tmp_path / "digest_probe.py"
-        script.write_text(self._SCRIPT.format(src=src))
-        outputs = []
-        for seed in ("0", "12345"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            proc = subprocess.run(
-                [sys_module.executable, str(script)],
-                capture_output=True, text=True, env=env, check=True,
-            )
-            outputs.append(proc.stdout.strip())
-        assert outputs[0] == outputs[1]
-        assert outputs[0]  # non-empty: the probe really ran
-
-
 class TestCliStrategyFlags:
     def _write(self, tmp_path, name):
         path = tmp_path / f"{name}.litmus"
         path.write_text(by_name(name).source)
         return str(path)
 
-    def test_litmus_command_with_sharded(self, tmp_path, capsys):
+    def test_litmus_command_with_bounded(self, tmp_path, capsys):
         from repro.tools.cli import main
 
         path = self._write(tmp_path, "MP")
         assert main(
-            ["litmus", path, "--strategy", "sharded", "--shard-depth", "2",
-             "--jobs", "2"]
+            ["litmus", path, "--strategy", "bounded", "--jobs", "2"]
         ) == 0
         output = capsys.readouterr().out
         assert "MP" in output and "Merged stats:" in output
@@ -691,9 +638,21 @@ class TestCliStrategyFlags:
 
         path = self._write(tmp_path, "MP")
         for extra in (["--strategy", "bounded"],
-                      ["--strategy", "sharded", "--jobs", "2"]):
+                      ["--strategy", "sequential"]):
             assert main(["run", path, *extra]) == 0
             assert "Test MP: Allowed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--strategy", "sharded"], ["run", "--jobs", "2"],
+        ["litmus", "--shard-depth", "2"],
+    ], ids=" ".join)
+    def test_removed_sharding_flags_refused(self, tmp_path, capsys, argv):
+        from repro.tools.cli import main
+
+        path = self._write(tmp_path, "MP")
+        with pytest.raises(SystemExit) as excinfo:
+            main([argv[0], path, *argv[1:]])
+        assert excinfo.value.code == 2
 
     def test_run_command_with_reduction(self, tmp_path, capsys):
         from repro.tools.cli import main

@@ -61,7 +61,7 @@ from repro.concurrency.search import SearchConfig
 from repro.service import cache_key
 canonical = emit_litmus(parse_litmus(by_name("MP").source))
 print(cache_key(canonical))
-print(cache_key(canonical, SearchConfig(strategy="sharded", reduction="sleep",
+print(cache_key(canonical, SearchConfig(strategy="bounded", reduction="sleep",
                                         context_bound=3, max_states=1000)))
 """
 
@@ -75,9 +75,9 @@ print(cache_key(canonical, SearchConfig(strategy="sharded", reduction="sleep",
             "d4019034b895d8bd22524fbd76aa90f9a69045829155f4f874f810d6d44acfba"
         ),
         SearchConfig(
-            strategy="sharded", reduction="sleep", context_bound=3,
+            strategy="bounded", reduction="sleep", context_bound=3,
             max_states=1000,
-        ): "51d15094118e41313aa3d28e8379a3112c7979de0e737ea39d9dd2a4aa54fc4c",
+        ): "517171897273eb61620f0474720ca7272f76d9930765387f6a102b0f719fcd32",
     }
 
     def test_key_identical_across_hash_seeds(self, tmp_path):
@@ -107,18 +107,13 @@ print(cache_key(canonical, SearchConfig(strategy="sharded", reduction="sleep",
         base = cache_key(canonical)
         variants = [
             cache_key(_canonical("SB")),
-            cache_key(canonical, SearchConfig(strategy="sharded")),
+            cache_key(canonical, SearchConfig(strategy="bounded")),
             cache_key(canonical, SearchConfig(reduction="sleep")),
             cache_key(canonical, SearchConfig(context_bound=2)),
             cache_key(canonical, SearchConfig(max_states=100)),
         ]
         keys = [base] + variants
         assert len(set(keys)) == len(keys)
-        # Sharding knobs never change an outcome set, so they share a key.
-        sharded = cache_key(canonical, SearchConfig(strategy="sharded"))
-        assert sharded == cache_key(
-            canonical, SearchConfig(strategy="sharded", jobs=2, shard_depth=1)
-        )
 
     def test_formatting_differences_do_not_split_entries(self):
         engine = EnvelopeEngine()
@@ -302,6 +297,8 @@ class TestDaemonRoundTrip:
     @pytest.mark.parametrize("options", [
         {"reduction": "bogus"}, {"strategy": "nope"}, {"max_states": "10"},
         {"max_states": True}, {"max_states": 0}, {"max_states": -5},
+        # Removed with the sharded backend.
+        {"strategy": "sharded"}, {"jobs": 2}, {"shard_depth": 1},
     ], ids=repr)
     def test_invalid_options_refused_at_submit(self, service, options):
         from repro.service.client import ServiceError
@@ -315,6 +312,22 @@ class TestDaemonRoundTrip:
             service.query(source, name="MP", options=options)
         assert excinfo.value.status == 400
         assert service.stats()["jobs"] == before  # nothing was queued
+
+    @pytest.mark.parametrize("gen", [
+        {"size": True}, {"size": "3"}, {"size": 2.9},
+        {"size": 1001},  # above MAX_GEN_SIZE
+        {"size": 2, "max_threads": 1},  # the generator cannot produce it
+    ], ids=repr)
+    def test_invalid_gen_refused_at_submit(self, service, gen):
+        from repro.service.client import ServiceError
+
+        before = service.stats()["jobs"]
+        with pytest.raises(ServiceError) as excinfo:
+            service.submit(gen=gen)
+        assert excinfo.value.status == 400
+        assert "gen" in str(excinfo.value)
+        assert service.stats()["jobs"] == before  # nothing was queued
+        assert service.health()["ok"]
 
     def test_removed_symmetry_option_is_refused(self, service):
         from repro.service.client import ServiceError
