@@ -33,6 +33,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional
 
 from ..concurrency.search import SearchConfig
+from ..isa.assembler import AssemblerError
+from ..litmus.parser import LitmusSyntaxError, parse_litmus
 from .cache import SCHEMA_VERSION, VerdictCache
 from .engine import EngineRequest, EnvelopeEngine
 
@@ -46,6 +48,12 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 
 #: Largest generated suite one ``gen`` spec may ask for.
 MAX_GEN_SIZE = 1000
+
+#: Largest thread count and internal-edge run a ``gen`` spec may ask
+#: for: the caps the solver-backed oracle is validated on.  The
+#: generator's sampling populations grow linearly with both.
+MAX_GEN_THREADS = 6
+MAX_GEN_RUN = 4
 
 #: The fields of a ``gen`` spec and their defaults.
 _GEN_DEFAULTS = {"seed": 0, "size": 20, "max_threads": 4, "max_run": 2}
@@ -71,6 +79,13 @@ def _json_object(value: Any, what: str) -> Dict[str, Any]:
     return value
 
 
+def _source_of(item: Dict[str, Any], what: str) -> str:
+    """The litmus ``source`` of a request item, or ``ValueError``."""
+    if "source" not in item:
+        raise ValueError(f'{what} has no "source"')
+    return item["source"]
+
+
 def _generated_tests(gen: Any) -> list:
     """The suite a ``gen`` spec describes, or ``ValueError`` refusing it."""
     from ..litmus.diy import generate
@@ -89,6 +104,12 @@ def _generated_tests(gen: Any) -> list:
             f"gen size must be between 1 and {MAX_GEN_SIZE}, "
             f"not {spec['size']}"
         )
+    for name, ceiling in (("max_threads", MAX_GEN_THREADS),
+                          ("max_run", MAX_GEN_RUN)):
+        if spec[name] > ceiling:
+            raise ValueError(
+                f"gen {name} must be at most {ceiling}, not {spec[name]}"
+            )
     try:
         return generate(
             spec["seed"],
@@ -234,11 +255,17 @@ class ServiceDaemon:
         if not isinstance(tests, list):
             raise ValueError('"tests" must be a JSON array')
         requests: List[EngineRequest] = []
-        for item in tests:
-            item = _json_object(item, 'each entry of "tests"')
-            requests.append(
-                EngineRequest(item["source"], item.get("name"), search)
+        for index, item in enumerate(tests):
+            what = f"tests[{index}]"
+            item = _json_object(item, what)
+            request = EngineRequest(
+                _source_of(item, what), item.get("name"), search
             )
+            try:
+                parse_litmus(request.source)
+            except LitmusSyntaxError as exc:
+                raise ValueError(f"{what}: bad litmus source: {exc}") from None
+            requests.append(request)
         gen = body.get("gen")
         if gen:
             requests.extend(
@@ -294,11 +321,14 @@ class ServiceDaemon:
 
     def query(self, body: Dict[str, Any]) -> Dict[str, Any]:
         request = EngineRequest.from_options(
-            source=body["source"],
+            source=_source_of(body, "query"),
             name=body.get("name"),
             options=_json_object(body.get("options") or {}, '"options"'),
         )
-        verdict = self.engine.run_request(request)
+        try:
+            verdict = self.engine.run_request(request)
+        except (LitmusSyntaxError, AssemblerError) as exc:
+            raise ValueError(f"bad litmus source: {exc}") from None
         return dict(verdict.to_payload(), cached=verdict.cached)
 
     def stats(self) -> Dict[str, Any]:

@@ -2,14 +2,7 @@
 
 from .axiomatic import AxiomaticVerdict, decide
 from .compare import ComparisonResult, SuiteReport, run_differential, run_suite
-from .concurrent import (
-    OracleCheck,
-    OracleReport,
-    check_suite,
-    closure_expectation,
-    expectation,
-    expectation_with_oracle,
-)
+from .concurrent import OracleCheck, OracleReport, check_suite, expectation
 from .sequential import SequentialTest, generate_suite, generate_tests
 
 __all__ = [
@@ -20,10 +13,8 @@ __all__ = [
     "SequentialTest",
     "SuiteReport",
     "check_suite",
-    "closure_expectation",
     "decide",
     "expectation",
-    "expectation_with_oracle",
     "generate_suite",
     "generate_tests",
     "run_differential",

@@ -1,13 +1,14 @@
 """Axiomatic commit/propagation-order solver for generated cycles.
 
-``concurrent.closure_expectation`` decides most cycles from per-segment
-ordering composition, but leaves two whole classes unasserted: write-
-started lwsync/eieio segments feeding a coherence edge (the
+``decide`` is the envelope oracle behind ``concurrent.expectation``: it
+answers Allowed or Forbidden for every well-formed critical cycle,
+including the classes a per-segment ordering analysis cannot settle --
+write-started lwsync/eieio segments feeding a coherence edge (the
 R+lwsync+sync family) and 3+-thread cycles resting on barrier
-cumulativity (WRC+lwsync+addr vs WRC+addrs).  This module closes that
-gap with a small per-cycle constraint solver over *symbolic event
-times*, mirroring the operational model's racy transitions
-(``concurrency.system`` / ``concurrency.storage``) as order constraints:
+cumulativity (WRC+lwsync+addr vs WRC+addrs).  It is a small per-cycle
+constraint solver over *symbolic event times*, mirroring the
+operational model's racy transitions (``concurrency.system`` /
+``concurrency.storage``) as order constraints:
 
 * every read ``r`` has a satisfaction time ``S(r)``;
 * every write ``w`` has one arrival time per thread: ``P(w, tid(w))``
@@ -48,9 +49,9 @@ graph check:
   execution propagates as little as possible.
 
 ``decide`` is cross-checked against all 31 ``diy.CURATED_CYCLES``
-architected statuses and against the closure oracle on every shape both
-decide (``tests/test_axiomatic.py``), and validated against the
-operational model over generated suites through ``check_suite``.
+architected statuses and against the operational model on the seed-0
+two-thread shapes (``tests/test_axiomatic.py``), and validated against
+the model over generated suites through ``check_suite``.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..litmus.diy import Edge, _build_rotation, _events_of
 
 #: Dependency edges whose unresolved input blocks every po-later store
-#: commit (mirrors ``concurrent._BLOCKING_DEPS``; an unresolved store
-#: *address* additionally blocks po-later satisfactions).
+#: commit (an unresolved store *address* additionally blocks po-later
+#: satisfactions).
 _BLOCKING_DEPS = frozenset(
     {"DpAddrdR", "DpAddrdW", "DpCtrldR", "DpCtrldW", "DpCtrlIsyncdR"}
 )

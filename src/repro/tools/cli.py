@@ -26,6 +26,8 @@ under-approximation) and
 answered in microseconds).  ``_config_from`` turns these flags (and
 ``--max-states``) into the one ``SearchConfig`` a verb hands to the
 engine, or, for ``client``, sends as the daemon's JSON ``options``.
+A missing or unparseable input file is a one-line error with exit
+status 2, like a bad flag.
 
 The interactive mode shows Fig. 3-style system states: storage subsystem
 contents (writes seen, coherence, propagation lists, unacknowledged syncs)
@@ -37,12 +39,44 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..concurrency.search import REDUCTIONS, STRATEGIES, SearchConfig
+from ..isa.assembler import AssemblerError
 from ..litmus.library import corpus
-from ..litmus.parser import parse_litmus
+from ..litmus.parser import LitmusSyntaxError, parse_litmus
 from ..litmus.runner import build_system
+from ..litmus.test import LitmusTest
+
+
+class InputError(Exception):
+    """A bad input file or generator spec: one line, exit status 2."""
+
+
+def _read_litmus(path: str) -> Tuple[str, LitmusTest]:
+    """A litmus file's source and parsed test, or ``InputError``."""
+    try:
+        with open(path) as handle:
+            source = handle.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    try:
+        return source, parse_litmus(source)
+    except LitmusSyntaxError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 1, not {text!r}"
+        )
+    return value
 
 
 def _add_cache_arg(parser: argparse.ArgumentParser) -> None:
@@ -130,7 +164,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     corpus_parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help="number of worker processes (default 1: run in-process)",
     )
@@ -151,7 +185,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     litmus_parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=None,
         help="number of worker processes (default: CPU count)",
     )
@@ -173,14 +207,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     gen_parser.add_argument(
         "--max-threads",
-        type=int,
+        type=_positive_int,
         default=4,
         help="largest thread count to generate (default 4; up to 6 is "
         "validated against the solver-backed oracle)",
     )
     gen_parser.add_argument(
         "--max-run",
-        type=int,
+        type=_positive_int,
         default=2,
         help="longest internal-edge run per thread (default 2; up to 4 "
         "is validated against the solver-backed oracle)",
@@ -195,7 +229,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     gen_parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=None,
         help="worker processes for --check (default: CPU count)",
     )
@@ -225,7 +259,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     serve_parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=None,
         help="worker budget per batch (default: usable CPU count)",
     )
@@ -286,6 +320,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             search = _config_from(args)
         except ValueError as exc:
             parser.error(str(exc))
+    try:
+        return _dispatch(args, search)
+    except (InputError, AssemblerError) as exc:
+        print(f"ppcmem2: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args, search: Optional[SearchConfig]) -> int:
     if args.command == "run":
         return _cmd_run(args.test, search, args)
     if args.command == "interactive":
@@ -316,8 +358,7 @@ def _cmd_run(path: str, search: SearchConfig, args) -> int:
     from ..service.client import format_verdict
     from ..service.engine import EngineRequest
 
-    with open(path) as handle:
-        source = handle.read()
+    source, _test = _read_litmus(path)
     engine = _engine_from(args)
     verdict = engine.run_request(EngineRequest(source, None, search))
     for line in format_verdict(dict(verdict.to_payload(), cached=verdict.cached)):
@@ -326,8 +367,7 @@ def _cmd_run(path: str, search: SearchConfig, args) -> int:
 
 
 def _cmd_interactive(path: str) -> int:
-    with open(path) as handle:
-        test = parse_litmus(handle.read())
+    _source, test = _read_litmus(path)
     system, _addresses = build_system(test)
     step = 0
     while True:
@@ -391,9 +431,7 @@ def _cmd_litmus(paths, include_corpus: bool, jobs, search: SearchConfig,
 
     entries = []
     for path in paths:
-        with open(path) as handle:
-            source = handle.read()
-        test = parse_litmus(source)
+        source, test = _read_litmus(path)
         entries.append((test.name, source))
     if include_corpus or not entries:
         entries.extend((e.name, e.source) for e in corpus())
@@ -442,12 +480,15 @@ def _cmd_gen(args, search: SearchConfig) -> int:
 
     from ..litmus.diy import generate
 
-    tests = generate(
-        args.seed,
-        args.size,
-        max_threads=args.max_threads,
-        max_run=args.max_run,
-    )
+    try:
+        tests = generate(
+            args.seed,
+            args.size,
+            max_threads=args.max_threads,
+            max_run=args.max_run,
+        )
+    except RuntimeError as exc:  # the caps admit too few distinct shapes
+        raise InputError(str(exc)) from None
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         for test in tests:
@@ -488,11 +529,10 @@ def _cmd_gen(args, search: SearchConfig) -> int:
             file=sys.stderr,
         )
     print(
-        f"Oracle: {report.checked} invariants checked "
-        f"({report.solver_decided} decided by the axiomatic solver), "
+        f"Oracle: {report.checked} invariants checked, "
         f"{len(report.violations)} violation(s), {report.skipped} over "
-        f"state budget, {report.unasserted} unasserted, "
-        f"{report.jobs} worker(s), {report.wall_seconds:.2f}s wall",
+        f"state budget, {report.jobs} worker(s), "
+        f"{report.wall_seconds:.2f}s wall",
         file=sys.stderr,
     )
     # Violations are oracle soundness failures: exit non-zero so CI gen
@@ -523,8 +563,7 @@ def _cmd_client(args, search: Optional[SearchConfig]) -> int:
                     print(line)
             return 0
         if args.action == "run":
-            with open(args.test) as handle:
-                source = handle.read()
+            source, _test = _read_litmus(args.test)
             verdict = client.query(source, options=search.to_options())
             for line in format_verdict(verdict):
                 print(line)
@@ -532,9 +571,8 @@ def _cmd_client(args, search: Optional[SearchConfig]) -> int:
         if args.action == "submit":
             tests = []
             for path in args.tests:
-                with open(path) as handle:
-                    source = handle.read()
-                tests.append((parse_litmus(source).name, source))
+                source, test = _read_litmus(path)
+                tests.append((test.name, source))
             gen = None
             if args.gen_seed is not None:
                 gen = {

@@ -1,44 +1,40 @@
 """Tests for the axiomatic commit/propagation-order solver.
 
 Three layers of evidence that ``testgen.axiomatic.decide`` is the right
-fallback oracle:
+envelope oracle:
 
-* *pinned verdicts* for the families the closure oracle could not
-  assert (the R+lwsync+sync / R+eieio+sync "weak" class and the
+* *pinned verdicts* for the families a per-segment ordering analysis
+  cannot settle (the R+lwsync+sync / R+eieio+sync class and the
   cumulativity-sensitive WRC/ISA2 shapes), matching the architected
   statuses;
 * *agreement properties*: the solver reproduces all 31 curated
-  architected statuses on its own, and agrees with the closure verdict
-  on every shape of the seed-0 size-200 suite the closure decides
-  (including every 2-thread shape);
-* *model spot-checks*: previously-unasserted shapes run through the
-  exhaustive explorer must land on the solver's verdict (the full-suite
-  sweep is the slow tier in ``test_litmus_gen.py``).
+  architected statuses on its own, and agrees with the operational
+  model on every seed-0 size-200 two-thread shape the model exhausts;
+* *model spot-checks*: the R+lwsync+sync class runs through the
+  exhaustive explorer and must land on the solver's verdict (the
+  full-suite sweep is the slow tier in ``test_litmus_gen.py``).
 """
 
 import pytest
 
+from repro.concurrency.search import SearchConfig
 from repro.isa.model import default_model
 from repro.litmus import diy
 from repro.litmus.library import by_name
 from repro.litmus.runner import run_litmus
 from repro.testgen.axiomatic import AxiomaticVerdict, decide
-from repro.testgen.concurrent import (
-    closure_expectation,
-    expectation,
-    expectation_with_oracle,
-)
+from repro.testgen.concurrent import check_suite, expectation
 
 MODEL = default_model()
 
 
 # ----------------------------------------------------------------------
-# Pinned verdicts for the previously-unasserted families
+# Pinned verdicts for the ordering-analysis-hard families
 # ----------------------------------------------------------------------
 
 #: (name, cycle, architected verdict).  The first block is the
-#: write-started lwsync/eieio-into-Wse class ("weak" in the closure);
-#: the second is the 3+-thread cumulativity class.
+#: write-started lwsync/eieio-into-Wse class; the second is the
+#: 3+-thread cumulativity class.
 PINNED = [
     ("R+lwsync+sync", ["LwSyncdWW", "Wse", "SyncdWR", "Fre"], "Allowed"),
     ("R+eieio+sync", ["EieiodWW", "Wse", "SyncdWR", "Fre"], "Allowed"),
@@ -97,45 +93,24 @@ def test_reproduces_every_curated_architected_status():
         )
 
 
-def test_agrees_with_closure_on_seed0_suite():
-    """Property: on seed-0 size-200, solver == closure wherever the
-    closure decides -- in particular on every 2-thread shape."""
-    suite = diy.generate(0, 200)
-    two_thread_decided = 0
-    for test in suite:
-        closure = closure_expectation(test.edges)
-        if closure is None:
-            continue
-        verdict = decide(test.edges)
-        assert verdict.status == closure, (
-            f"{test.name} {test.edge_names}: "
-            f"solver={verdict.status} closure={closure}"
-        )
-        if test.thread_count == 2:
-            two_thread_decided += 1
-    assert two_thread_decided >= 50  # the property is not vacuous
+def test_agrees_with_model_on_seed0_suite():
+    """Property: on seed-0 size-200, solver == operational model on every
+    two-thread shape the model explores within its state budget."""
+    suite = [test for test in diy.generate(0, 200) if test.thread_count == 2]
+    report = check_suite(
+        suite, SearchConfig(reduction="dpor", max_states=3000), jobs=2
+    )
+    assert report.sound, [
+        (check.name, check.edge_names, check.expected, check.status)
+        for check in report.violations
+    ]
+    assert report.checked >= 50  # the property is not vacuous
 
 
 def test_closes_every_unasserted_shape():
-    """``expectation`` no longer returns None on any generated shape."""
-    suite = diy.generate(0, 200)
-    closure_open = [
-        test for test in suite if closure_expectation(test.edges) is None
-    ]
-    assert closure_open  # the closure really does abstain somewhere
-    for test in closure_open:
-        verdict, oracle = expectation_with_oracle(test.edges)
-        assert verdict in ("Allowed", "Forbidden")
-        assert oracle == "axiomatic"
-
-
-def test_expectation_fallback_and_opt_out():
-    edges = diy.edges_from_names(["LwSyncdWW", "Wse", "SyncdWR", "Fre"])
-    assert closure_expectation(edges) is None
-    assert expectation(edges, axiomatic=False) is None
-    assert expectation(edges) == "Allowed"
-    decided = diy.edges_from_names(diy.CURATED_CYCLES["MP+syncs"])
-    assert expectation_with_oracle(decided) == ("Forbidden", "closure")
+    """``expectation`` gives every seed-0 size-200 shape a verdict."""
+    for test in diy.generate(0, 200):
+        assert expectation(test.edges) in ("Allowed", "Forbidden")
 
 
 def test_lifted_caps_are_decidable():
@@ -146,7 +121,7 @@ def test_lifted_caps_are_decidable():
 
 
 # ----------------------------------------------------------------------
-# Model spot-checks on previously-unasserted shapes
+# Model spot-checks on the write-started lwsync/eieio-into-Wse class
 # ----------------------------------------------------------------------
 
 

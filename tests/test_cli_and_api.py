@@ -75,7 +75,6 @@ class TestCli:
                     expected="Forbidden",
                     status="Allowed",
                     ok=False,
-                    oracle="axiomatic",
                 )
                 for test in tests
             ]
@@ -93,6 +92,28 @@ class TestCli:
         ) == 0
         err = capsys.readouterr().err
         assert "0 violation(s)" in err
+
+    @pytest.mark.parametrize("verb", ["run", "litmus", "interactive"])
+    @pytest.mark.parametrize("content", [None, "garbage\n"],
+                             ids=["missing", "unparseable"])
+    def test_bad_litmus_file_is_one_line_error(self, tmp_path, capsys,
+                                               verb, content):
+        path = tmp_path / "bad.litmus"
+        if content is not None:
+            path.write_text(content)
+        assert main([verb, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("ppcmem2: error: ")
+        assert str(path) in err
+
+    @pytest.mark.parametrize("flag", ["--max-threads", "--max-run", "--jobs"])
+    def test_gen_non_positive_counts_refused(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["gen", "--size", "2", "--check", flag, "0"])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: must be an integer of at least 1" in (
+            capsys.readouterr().err
+        )
 
 
 class TestPublicApi:

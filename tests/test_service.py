@@ -317,6 +317,9 @@ class TestDaemonRoundTrip:
         {"size": True}, {"size": "3"}, {"size": 2.9},
         {"size": 1001},  # above MAX_GEN_SIZE
         {"size": 2, "max_threads": 1},  # the generator cannot produce it
+        # Above MAX_GEN_THREADS / MAX_GEN_RUN: refused before sampling.
+        {"size": 2, "max_threads": 7}, {"size": 2, "max_run": 5},
+        {"size": 2, "max_threads": 100000},
     ], ids=repr)
     def test_invalid_gen_refused_at_submit(self, service, gen):
         from repro.service.client import ServiceError
@@ -326,6 +329,34 @@ class TestDaemonRoundTrip:
             service.submit(gen=gen)
         assert excinfo.value.status == 400
         assert "gen" in str(excinfo.value)
+        assert service.stats()["jobs"] == before  # nothing was queued
+        assert service.health()["ok"]
+
+    def test_bad_sources_are_refused_and_daemon_survives(self, service):
+        from repro.service.client import ServiceError
+
+        mp = by_name("MP").source
+        before = service.stats()["jobs"]
+        for source, message in (
+            ("garbage", "line 1: bad header"),
+            (mp.replace("lwz", "frobnicate"), "unknown mnemonic"),
+        ):
+            with pytest.raises(ServiceError) as excinfo:
+                service.query(source)
+            assert excinfo.value.status == 400
+            assert message in excinfo.value.payload["error"]
+        # One bad entry refuses the whole job at submit time.
+        with pytest.raises(ServiceError) as excinfo:
+            service.submit([("MP", mp), ("bad", "garbage")])
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["error"].startswith("tests[1]: ")
+        for path, body in (("/v1/query", b"{}"),
+                           ("/v1/jobs", b'{"tests": [{"name": "x"}]}')):
+            status, payload = self._post_raw(
+                service, path, str(len(body)), body
+            )
+            assert status == 400
+            assert 'has no "source"' in payload["error"]
         assert service.stats()["jobs"] == before  # nothing was queued
         assert service.health()["ok"]
 
